@@ -20,7 +20,15 @@ The pareto kind has CDF ``1 - scale_c * x**(-alpha)`` on its support.
 Expectations against the law are computed by quantile transform: continuous
 kinds integrate ``g(quantile(u))`` over ``u in (0, 1)`` with adaptive
 bisection quadrature (so unbounded supports need no truncation), discrete
-kinds sum atoms exactly.  Atoms are never smoothed.
+kinds sum atoms exactly.  Atoms are never smoothed.  Quantiles of nodes above
+``u = 1/2`` are taken from ``1 - u`` directly, so finite tail moments of
+unbounded laws stay finite.
+
+:func:`quad_checked` integrates array-valued integrands on ``[lo, hi]`` (with
+``hi`` possibly infinite) for the oracles in ``limits`` and ``spatial``:
+composite 21-node Gauss-Legendre panels that start at the caller's
+breakpoints, refined by halving, every level in one vectorized call of the
+integrand.  Only numpy is needed at run time.
 """
 
 from __future__ import annotations
@@ -29,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, NumericError
 
@@ -139,6 +146,21 @@ class WeightDistribution:
             return (c / (1.0 - u)) ** (1.0 / alpha)
         vals, cum = self._atom_tables()
         return vals[np.searchsorted(cum[1:], u, side="left")]
+
+    def _isf(self, v):
+        # The quantile at 1 - v, computed from v itself (continuous kinds), so
+        # that upper-tail levels keep their precision where 1 - v would round
+        # to 1.
+        if self.kind == "uniform":
+            a, b = self.params
+            return b - (b - a) * v
+        if self.kind == "exponential":
+            (rate,) = self.params
+            return -np.log(v) / rate
+        if self.kind == "pareto":
+            c, alpha = self.params
+            return (c / v) ** (1.0 / alpha)
+        raise DomainError(f"{self.kind} law has no upper-tail quantile")
 
     def _atom_tables(self):
         vals = np.array([x for x, _ in self.atoms()], dtype=float)
@@ -269,22 +291,33 @@ def expectation(dist: WeightDistribution, g, *, limit: int = 256) -> float:
             terms.append(p * gx)
         return math.fsum(terms)
 
-    def f(u):
-        gx = g(float(dist._ppf(u)))
-        if not math.isfinite(gx):
-            raise NumericError(f"integrand not finite at quantile u={u}")
-        return gx
+    def cell(a, b):
+        # Nodes above u = 1/2 take their quantile from v = 1 - u, which is
+        # computed without rounding, so no node lands on u = 1 (where an
+        # unbounded support has an infinite quantile) and finite tail
+        # moments stay finite.
+        half = 0.5 * (b - a)
+        u = a + half * (_GL_NODES + 1.0)
+        v = (1.0 - b) + half * (1.0 - _GL_NODES)
+        xs = np.where(u <= 0.5, dist._ppf(np.minimum(u, 0.5)), dist._isf(v))
+        terms = []
+        for x, w in zip(xs.tolist(), _GL_WEIGHT_LIST):
+            gx = g(x)
+            if not math.isfinite(gx):
+                raise NumericError(f"integrand not finite at x={x}")
+            terms.append(w * gx)
+        return half * math.fsum(terms)
 
     # Two full adaptive passes over incommensurate seed partitions.  A jump
     # of g can hide only in the node-free sliver beside a persistent cell
     # edge of one partition; the edges of the other partition fall elsewhere,
     # so agreement certifies the value.
     budget = 64 * limit
-    first = _adaptive_unit_integral(f, 8, budget=budget)
-    second = _adaptive_unit_integral(f, 7, budget=budget)
+    first = _adaptive_unit_integral(cell, 8, budget=budget)
+    second = _adaptive_unit_integral(cell, 7, budget=budget)
     if abs(first - second) <= 5e-9 * max(1.0, abs(first)):
         return 0.5 * (first + second)
-    third = _adaptive_unit_integral(f, 11, budget=budget)
+    third = _adaptive_unit_integral(cell, 11, budget=budget)
     candidates = sorted([first, second, third])
     if candidates[1] - candidates[0] <= candidates[2] - candidates[1]:
         close = (candidates[0], candidates[1])
@@ -296,25 +329,21 @@ def expectation(dist: WeightDistribution, g, *, limit: int = 256) -> float:
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(21)
+_GL_WEIGHT_LIST = _GL_WEIGHTS.tolist()
 
 
 def _adaptive_unit_integral(
-    f, n_seeds: int, abstol: float = 1e-10, budget: int = 16384
+    cell, n_seeds: int, abstol: float = 1e-10, budget: int = 16384
 ) -> float:
-    """Adaptive bisection quadrature of f on (0, 1) without extrapolation.
+    """Adaptive bisection quadrature on (0, 1) without extrapolation.
 
+    ``cell(a, b)`` is the Gauss-Legendre value of the integrand on [a, b].
     Extrapolating integrators can lock onto a confidently wrong value at an
     interior jump; plain interval halving cannot.  A cell is accepted only
-    when its Gauss-Legendre value agrees with the sum over its halves within
-    a width-proportional tolerance, so a visible jump keeps its cell
-    splitting until the width (hence the possible error) is negligible.
+    when its value agrees with the sum over its halves within a
+    width-proportional tolerance, so a visible jump keeps its cell splitting
+    until the width (hence the possible error) is negligible.
     """
-
-    def cell(a, b):
-        half = 0.5 * (b - a)
-        u = a + half * (_GL_NODES + 1.0)
-        return half * math.fsum(w * f(x) for x, w in zip(u, _GL_WEIGHTS))
-
     seeds = [(i / n_seeds, (i + 1) / n_seeds) for i in range(n_seeds)]
     stack = [(a, b, cell(a, b)) for a, b in seeds]
     accepted: list[float] = []
@@ -339,19 +368,93 @@ def _adaptive_unit_integral(
     return math.fsum(accepted)
 
 
+# Panels close at this error, relative to the integral of |f| and shared out
+# by width; an error estimate above _QUAD_FAIL_RTOL raises.
+_QUAD_RTOL = 1e-11
+_QUAD_FAIL_RTOL = 1e-6
+
+
+def _gl_panels(g, starts, ends, span: str):
+    """Gauss-Legendre values of ``g`` and of ``|g|`` on every panel, from one
+    call of ``g`` on the array of all their nodes."""
+    half = 0.5 * (ends - starts)
+    nodes = (starts + half)[:, None] + half[:, None] * _GL_NODES
+    vals = np.broadcast_to(np.asarray(g(nodes.ravel()), dtype=float), nodes.size)
+    vals = vals.reshape(nodes.shape)
+    if not np.all(np.isfinite(vals)):
+        bad = nodes[~np.isfinite(vals)][0]
+        raise NumericError(f"integrand not finite at node {bad} of {span}")
+    value = half * (vals * _GL_WEIGHTS).sum(axis=1)
+    return value, half * (np.abs(vals) * _GL_WEIGHTS).sum(axis=1)
+
+
 def quad_checked(f, lo: float, hi: float, *, points=None, limit: int = 256) -> float:
-    """scipy.integrate.quad with convergence checking instead of warnings."""
-    kwargs = {"epsabs": 1e-11, "epsrel": 1e-11, "full_output": 1}
-    pts = sorted(p for p in (points or []) if lo < p < hi)
-    if pts and math.isfinite(lo) and math.isfinite(hi):
-        kwargs["points"] = pts
-    kwargs["limit"] = max(limit, 2 * len(pts) + 16)
-    result = quad(f, lo, hi, **kwargs)
-    value, abserr = result[0], result[1]
-    if not math.isfinite(value) or abserr > 1e-6 * max(1.0, abs(value)):
+    """Integrate ``f`` over [lo, hi] with adaptive Gauss-Legendre panels.
+
+    ``f`` maps an array of nodes to an array of values.  ``lo`` must be
+    finite; ``hi`` may be ``inf``, in which case ``s = lo + t/(1 - t)`` maps
+    the range onto ``t in [0, 1)``.  The first panels run between the
+    breakpoints ``points`` that lie inside (lo, hi).  Each level evaluates
+    every open panel's halves (and, at the first level, the panel itself)
+    in one call of ``f``; a panel closes when whole and halves agree within
+    its width's share of 1e-11 times the integral of |f|, and its halves'
+    sum is kept.  Raises NumericError on a non-finite integrand value, when
+    more than ``limit`` panels are needed, or when the summed error
+    estimate exceeds 1e-6 of the integral of |f|.
+    """
+    if not (math.isfinite(lo) and lo <= hi):
+        raise DomainError(f"quadrature needs a finite lo <= hi, got [{lo}, {hi}]")
+    if lo == hi:
+        return 0.0
+    span = f"[{lo}, {hi}]"
+    cuts = sorted({float(p) for p in points or () if lo < p < hi})
+    budget = max(limit, 2 * len(cuts) + 16)
+    g = f
+    if math.isinf(hi):
+
+        def g(t, s0=lo):
+            rest = 1.0 - t
+            return f(s0 + t / rest) / (rest * rest)
+
+        cuts = [(p - lo) / (1.0 + p - lo) for p in cuts]
+        lo, hi = 0.0, 1.0
+    a = np.array([lo, *cuts])
+    b = np.array([*cuts, hi])
+    whole = None
+    kept_values: list = []
+    kept_errors: list = []
+    n_kept = 0
+    while a.size:
+        n = a.size
+        mid = 0.5 * (a + b)
+        starts, ends = np.concatenate([a, mid]), np.concatenate([mid, b])
+        if whole is None:  # first level: the panels themselves, then halves
+            est, mass = _gl_panels(g, np.concatenate([a, starts]),
+                                   np.concatenate([b, ends]), span)
+            whole, est = est[:n], est[n:]
+            scale = float(mass[n:].sum())  # the integral of |f|
+        else:
+            est, _ = _gl_panels(g, starts, ends, span)
+        left, right = est[:n], est[n:]
+        err = np.abs(whole - (left + right))
+        unsplittable = (mid <= a) | (mid >= b)
+        done = (err <= _QUAD_RTOL * scale * (b - a) / (hi - lo)) | unsplittable
+        kept_values.append((left + right)[done])
+        kept_errors.append(err[done])
+        n_kept += int(done.sum())
+        split = ~done
+        if n_kept + 2 * int(split.sum()) > budget:
+            raise NumericError(
+                f"quadrature on {span} exhausted its budget of {budget} panels"
+            )
+        a, b = starts[np.tile(split, 2)], ends[np.tile(split, 2)]
+        whole = est[np.tile(split, 2)]
+    value = math.fsum(np.concatenate(kept_values).tolist())
+    error = math.fsum(np.concatenate(kept_errors).tolist())
+    if error > _QUAD_FAIL_RTOL * scale:
         raise NumericError(
-            f"quadrature did not converge on [{lo}, {hi}]: "
-            f"value={value}, abserr={abserr}"
+            f"quadrature did not converge on {span}: "
+            f"value={value}, error estimate={error}"
         )
     return value
 

@@ -6,9 +6,13 @@ triangle probabilities, the conditional triangle mean and its variance (the
 CLT variance driver), and the edge-conditioned weight correlation that
 witnesses asymptotic dependence.
 
-All continuous-kind integrals run in quantile space through
-:func:`threshnet.dist.expectation`, so bounded and heavy-tailed supports
-share one code path; discrete kinds reduce to exact atom sums.
+All continuous-kind integrals run in quantile space, so bounded and
+heavy-tailed supports share one code path: expectations through
+:func:`threshnet.dist.expectation`, and the inner one-dimensional integrals
+of the triangle and correlation oracles through the array-valued
+Gauss-Legendre integrator :func:`threshnet.dist.quad_checked`.  The limiting
+degree CDF of a continuous law is closed form.  Discrete kinds reduce to
+exact atom sums.
 """
 
 from __future__ import annotations
@@ -58,17 +62,27 @@ def degree_pmf(cfg: LimitConfig, n: int, k: int) -> float:
 
 
 def limit_degree_cdf(cfg: LimitConfig, t: float) -> float:
-    """CDF of the limiting degree fraction 1 - F(theta - X) at t."""
+    """CDF of the limiting degree fraction 1 - F(theta - X) at t.
+
+    For continuous kinds this is exactly ``F(theta - q(1 - t))`` with ``q``
+    the quantile function, evaluated from t itself and taken as the upper
+    support bound at t = 0.  Discrete kinds sum atoms exactly: there
+    ``1 - t`` can round past a cumulative mass at the jump levels
+    ``t = 1 - F(theta - atom)``.
+    """
     if t < 0.0:
         return 0.0
     if t >= 1.0:
         return 1.0
     dist, theta = cfg.dist, cfg.theta
-    return expectation(
-        dist,
-        lambda x: 1.0 if 1.0 - dist.cdf(theta - x) <= t else 0.0,
-        limit=cfg.quad_nodes,
-    )
+    if dist.is_discrete:
+        return expectation(
+            dist,
+            lambda x: 1.0 if 1.0 - dist.cdf(theta - x) <= t else 0.0,
+            limit=cfg.quad_nodes,
+        )
+    upper = dist.support()[1] if t == 0.0 else float(dist._isf(t))
+    return dist.cdf(theta - upper)
 
 
 def edge_probability(cfg: LimitConfig) -> float:

@@ -3,9 +3,14 @@ merging, and byte-level reproducibility."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import threshnet
 from threshnet.cli import main
 
 
@@ -191,3 +196,15 @@ def test_clt_check_command(tmp_path):
     report = json.loads(out.read_text())
     assert report["gof"]["name"] == "ks_vs_standard_normal"
     assert report["gof"]["stat"] < 0.1
+
+
+def test_import_does_not_load_scipy():
+    # numpy is the only runtime dependency
+    src = str(Path(threshnet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, threshnet.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -3,6 +3,7 @@ and the split-support check against a brute-force grid oracle."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -117,6 +118,67 @@ def test_expectation_indicator_tail(d):
     for t in ts:
         val = dist.expectation(d, lambda x, t=t: 1.0 if x > t else 0.0)
         assert abs(val - (1.0 - d.cdf(float(t)))) < 1e-8
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "d, g, density, lower",
+    [
+        (dist.exponential(1.0), lambda x: x * x, lambda x: x**2 * mpmath.exp(-x), 0),
+        (dist.exponential(2.0), lambda x: x**3, lambda x: 2 * x**3 * mpmath.exp(-2 * x), 0),
+        (dist.pareto(1.0, 3.0), lambda x: x, lambda x: 3 * x**-3, 1),
+    ],
+    ids=["exp-x2", "exp2-x3", "pareto3-x"],
+)
+def test_expectation_finite_tail_moments(d, g, density, lower):
+    # finite moments of unbounded laws: no node may round onto u = 1, where
+    # the quantile is infinite
+    exact = float(mpmath.quad(density, [lower, mpmath.inf]))
+    assert dist.expectation(d, g) == pytest.approx(exact, rel=1e-9)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_expectation_strong_tail_singularity():
+    # E[X**2] under pareto(1, 4) integrates (1 - u)**-0.5: finite, but the
+    # cell at u = 1 is accepted at width 1e-14 with its error unresolved, so
+    # only ~1e-9 relative accuracy is reached
+    assert dist.expectation(dist.pareto(1.0, 4.0), lambda x: x * x) == pytest.approx(
+        2.0, rel=1e-8
+    )
+
+
+# ---------------------------------------------------------------------------
+# array-valued quadrature
+
+
+def test_quad_checked_values():
+    assert dist.quad_checked(np.sin, 0.0, math.pi) == pytest.approx(2.0, rel=1e-13)
+    assert dist.quad_checked(lambda s: np.exp(-s), 1.0, math.inf) == pytest.approx(
+        math.exp(-1.0), rel=1e-13
+    )
+    # a kink on a breakpoint, a constant integrand, an empty range
+    assert dist.quad_checked(
+        lambda s: np.abs(s - 0.3), 0.0, 1.0, points=[0.3, 2.0]
+    ) == pytest.approx(0.29, rel=1e-13)
+    assert dist.quad_checked(lambda s: 2.0, 1.0, 4.0) == pytest.approx(6.0, rel=1e-13)
+    assert dist.quad_checked(np.sin, 2.0, 2.0) == 0.0
+
+
+def test_quad_checked_nonfinite_integrand():
+    with pytest.raises(NumericError, match="not finite"):
+        dist.quad_checked(lambda s: np.where(s > 0.3, np.inf, 1.0), 0.0, 1.0)
+
+
+def test_quad_checked_exhausted_budget():
+    with pytest.raises(NumericError, match="budget"):
+        dist.quad_checked(lambda s: np.sin(200.0 * s * s), 0.0, 10.0, limit=16)
+
+
+def test_quad_checked_domain():
+    with pytest.raises(DomainError):
+        dist.quad_checked(np.sin, -math.inf, 0.0)
+    with pytest.raises(DomainError):
+        dist.quad_checked(np.sin, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

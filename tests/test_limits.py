@@ -3,6 +3,7 @@ noted) and cross-checks with independent symbolic integration."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -56,6 +57,32 @@ def test_limit_degree_cdf_is_valid_cdf():
     assert vals[-1] == 1.0
 
 
+LIMIT_CDF_KINDS = [
+    dist.uniform(0.0, 1.0),
+    dist.exponential(1.0),
+    dist.pareto(1.0, 1.0),
+    dist.two_point(0.2, 0.5, 0.9),
+    dist.finite_discrete([(0.1, 0.25), (0.5, 0.5), (1.1, 0.25)]),
+    dist.point_mass(0.7),
+]
+
+
+@pytest.mark.parametrize("law", LIMIT_CDF_KINDS, ids=lambda d: d.kind)
+@pytest.mark.parametrize("theta", [0.5, 1.0, 1.4])
+def test_limit_degree_cdf_matches_indicator_definition(law, theta):
+    # P(1 - F(theta - X) <= t) as an expectation of an indicator, on a grid,
+    # at t = 0 and at every jump level of the discrete laws
+    cfg = limits.LimitConfig(law, theta)
+    ts = [float(t) for t in np.linspace(0.0, 1.0, 41)]
+    if law.is_discrete:
+        ts += [1.0 - law.cdf(theta - x) for x, _ in law.atoms()]
+    for t in ts:
+        expected = dist.expectation(
+            law, lambda x, t=t: 1.0 if 1.0 - law.cdf(theta - x) <= t else 0.0
+        ) if t < 1.0 else 1.0
+        assert limits.limit_degree_cdf(cfg, t) == pytest.approx(expected, abs=1e-8)
+
+
 def test_edge_probability():
     assert limits.edge_probability(UNI) == pytest.approx(0.5, abs=1e-10)
     assert limits.edge_probability(limits.LimitConfig(dist.point_mass(0.7), 1.0)) == 1.0
@@ -81,6 +108,25 @@ def test_conditional_triangle_probability():
         assert limits.conditional_triangle_probability(UNI, x) == pytest.approx(
             x * x - (2 * x - 1) ** 2 / 2, abs=1e-8
         )
+
+
+def test_conditional_triangle_probability_exp_against_mpmath():
+    # P(Y > low, Z > max(low, 1 - Y)) for Y, Z ~ Exp(1), with low = 1 - x
+    cfg = limits.LimitConfig(dist.exponential(1.0), 1.0)
+
+    def survival(y):
+        return mpmath.exp(-max(y, 0))
+
+    with mpmath.workdps(30):
+        for x in (0.3, 0.5, 0.8, 1.0, 1.5, 3.0):
+            low = 1 - mpmath.mpf(x)
+            start = max(low, 0)
+            cuts = sorted({start, max(start, 1 - low), max(start, mpmath.mpf(1))})
+            exact = mpmath.quad(
+                lambda y: mpmath.exp(-y) * survival(max(low, 1 - y)), cuts + [mpmath.inf]
+            )
+            value = limits.conditional_triangle_probability(cfg, x)
+            assert value == pytest.approx(float(exact), rel=1e-10)
 
 
 def test_conditional_consistency_with_triangle_probability():

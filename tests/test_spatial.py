@@ -3,6 +3,7 @@ mixture law, and the standardized-degree pipeline."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -66,6 +67,28 @@ def test_radial_intensity_pareto_growth():
     ratios = [spatial.radial_intensity(cfg, par, 2.0, r) / r for r in (1e2, 1e3, 1e4, 1e5)]
     assert all(abs(q - 1.0) > abs(w - 1.0) for q, w in zip(ratios, ratios[1:]))
     assert ratios[-1] == pytest.approx(1.0, rel=1e-3)
+
+
+@pytest.mark.parametrize(
+    "law, d, beta, survival, lower",
+    [
+        (dist.exponential(1.0), 2, 2.0, lambda y: mpmath.exp(-y), 0.0),
+        (dist.pareto(1.0, 3.0), 1, 1.0, lambda y: y**-3, 1.0),
+    ],
+    ids=["exp-d2-beta2", "pareto3-d1-beta1"],
+)
+def test_radial_intensity_limit_against_mpmath(law, d, beta, survival, lower):
+    # C_inf(x) = int_0^inf s**(d-1) P(X > s**beta - x) ds at theta = 1; the
+    # survival factor is 1 below the flat radius (lower + x)**(1/beta)
+    cfg = spatial.SpatialConfig(d=d, beta=beta, theta=1.0, lam=1.0, r=1.0)
+    with mpmath.workdps(30):
+        for x in (-0.5, 0.0, 0.5, 2.0):
+            flat = mpmath.mpf(max(lower + x, 0.0)) ** (1 / mpmath.mpf(beta))
+            exact = flat**d / d + mpmath.quad(
+                lambda s: s ** (d - 1) * survival(s**beta - x), [flat, flat + 1, mpmath.inf]
+            )
+            value = spatial.radial_intensity(cfg, law, x, math.inf)
+            assert value == pytest.approx(float(exact), rel=1e-10)
 
 
 def test_direct_sampler_trivial_regimes():
