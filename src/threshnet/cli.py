@@ -60,8 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("motif", help="exact motif census")
     common(p, with_r=False)
     p.add_argument("--motif", dest="motif", help="motif spec, e.g. k=4;edges=1-2,2-3,3-4,4-1")
-    p.add_argument("--work-cap", type=int, dest="work_cap",
-                   help="census work cap in nominal kernel evaluations")
     p.add_argument("--density-samples", type=int, dest="density_samples",
                    help="also estimate the motif probability by Monte Carlo")
 
@@ -92,8 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DEFAULTS = {"seed": 0, "fmt": "json", "mode": "mixture", "grid": 512,
-             "work_cap": motifs.DEFAULT_WORK_CAP}
+_DEFAULTS = {"seed": 0, "fmt": "json", "mode": "mixture", "grid": 512}
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
@@ -269,7 +266,7 @@ def _cmd_motif(cfg: dict) -> None:
     n, theta = int(cfg["n"]), float(cfg["theta"])
     stream = stats.make_stream(int(cfg["seed"]))
     g = graph.sample_graph(dist, n, theta, stream)
-    count = motifs.count_motif_tuples(g, motif, int(cfg["work_cap"]))
+    count = motifs.count_motif_tuples(g, motif)
     payload = {
         "experiment": "motif",
         "config": {"dist": cfg["dist"], "theta": theta, "n": n, "motif": cfg["motif"]},

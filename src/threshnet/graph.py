@@ -83,13 +83,30 @@ def edge_list(g: GraphSample, cap: int = EDGE_LIST_CAP) -> list[tuple[int, int]]
     return pairs
 
 
-def write_edges_csv(g: GraphSample, path, cap: int = EDGE_LIST_CAP) -> None:
-    """Export the edge list as CSV with header ``i,j`` (LF line endings)."""
-    pairs = edge_list(g, cap)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("i,j\n")
-        for i, j in pairs:
-            fh.write(f"{i},{j}\n")
+def _first_adjacent(g: GraphSample) -> np.ndarray:
+    """For each sorted position j, the first sorted position p with
+    ``sorted_weights[p] + sorted_weights[j] > theta``.
+
+    A binary search for ``theta - w`` can land off the sum rule where the
+    rounding of ``theta - w`` crosses a weight; such positions are moved past
+    whole runs of tied weights until the rule holds on both sides.
+    """
+    sw, theta, n = g.sorted_weights, g.theta, g.n
+    first = np.searchsorted(sw, theta - sw, side="right")
+    below = np.empty_like(first)
+    pair_sum = np.empty_like(sw)  # buffers reused to keep the peak memory low
+    while True:
+        np.take(sw, first, mode="clip", out=pair_sum)
+        pair_sum += sw
+        up = (pair_sum <= theta) & (first < n)
+        np.subtract(first, 1, out=below)
+        np.take(sw, below, mode="clip", out=pair_sum)
+        pair_sum += sw
+        down = (pair_sum > theta) & (below >= 0)
+        if not (up.any() or down.any()):
+            return first
+        first[up] = np.searchsorted(sw, sw[first[up]], side="right")
+        first[down] = np.searchsorted(sw, sw[below[down]], side="left")
 
 
 def count_triangles(g: GraphSample) -> int:
@@ -100,12 +117,15 @@ def count_triangles(g: GraphSample) -> int:
     heavier vertices, because the pair (a, b) is then the light pair of the
     triple.
     """
-    sw = g.sorted_weights
     n = g.n
-    first_ok = np.searchsorted(sw, g.theta - sw, side="right")
+    terms = _first_adjacent(g)
     b = np.arange(n, dtype=np.int64)
-    light_pairs = np.maximum(0, b - first_ok)
-    return int(np.sum(light_pairs * (n - 1 - b), dtype=np.int64))
+    np.subtract(b, terms, out=terms)  # light partners of each b, in place
+    np.maximum(terms, 0, out=terms)
+    terms *= np.subtract(n - 1, b, out=b)
+    # each term is below n**2, so a chunk of 2**63 // n**2 terms cannot wrap
+    step = max(1, 2**63 // (n * n))
+    return sum(int(terms[i:i + step].sum()) for i in range(0, n, step))
 
 
 def count_local_triangles(g: GraphSample, vertex: int) -> int:

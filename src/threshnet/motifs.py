@@ -7,21 +7,16 @@ symmetry count gives the number of subgraphs isomorphic to the pattern.
 
 Census algorithm
 ----------------
-Let the graph weights be sorted ascending.  For a k-subset taken in sorted
-order, whether positions (s, t) are adjacent depends only on the subset's
-*connection signature* ``(c_2, ..., c_k)``, where ``c_t`` is the number of
-earlier subset members adjacent to member t; by monotonicity of the threshold
-rule those are always the ``c_t`` heaviest earlier members, and once some
-``c_t >= 1`` the counts must grow by at least one per step.  There are at most
-``2**(k-1)`` feasible signatures.  For each signature the number of ordered
-embeddings of the motif into that adjacency pattern is precomputed once, so
-the census is a signature-weighted subset count instead of a k!-fold
-permutation sum per subset.  The inner double loop over the last two subset
-members is evaluated with suffix tables, never materializing tuples.
-
-The work cap is expressed in nominal kernel evaluations ``C(n,k) * k!`` to
-keep the census budget comparable across implementations of the same
-contract.
+A threshold graph can be built one vertex at a time, each new vertex either
+*dominating* (adjacent to every earlier vertex) or *isolated* (adjacent to
+none); the list of types is its creation sequence.  Every ordered tuple is
+then placed by walking the sequence in creation order with a dynamic program
+over the set S of motif vertices already placed: each graph vertex takes no
+motif vertex, or one motif vertex v outside S -- any v if the graph vertex is
+dominating, only a v with no motif edge into S if it is isolated, since a
+motif edge needs its later-created end to be dominating.  The count is the
+number of ways to place all k motif vertices, computed with O(n k 2^k)
+additions of exact Python integers, so counts beyond 2**63 stay exact.
 """
 
 from __future__ import annotations
@@ -29,8 +24,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -39,7 +34,6 @@ from .errors import CapacityError, DomainError
 from .graph import GraphSample
 
 MAX_MOTIF_VERTICES = 8
-DEFAULT_WORK_CAP = 1_000_000_000
 
 
 @dataclass(frozen=True)
@@ -103,178 +97,73 @@ def triangle_motif() -> Motif:
 
 
 # ---------------------------------------------------------------------------
-# kernels
-
-
-def motif_indicator(motif: Motif, x, theta: float) -> int:
-    """1 iff the weight tuple realizes every motif edge."""
-    if len(x) != motif.k:
-        raise DomainError(f"expected {motif.k} weights, got {len(x)}")
-    return int(all(x[s - 1] + x[t - 1] > theta for s, t in motif.edges))
-
-
-def motif_indicator_symmetrized(motif: Motif, x, theta: float) -> Fraction:
-    """Average of the indicator over all k! argument orders, as an exact
-    rational m/k! (repeated values still contribute one permutation each)."""
-    if len(x) != motif.k:
-        raise DomainError(f"expected {motif.k} weights, got {len(x)}")
-    hits = 0
-    for perm in itertools.permutations(x):
-        hits += all(perm[s - 1] + perm[t - 1] > theta for s, t in motif.edges)
-    return Fraction(hits, math.factorial(motif.k))
-
-
-# ---------------------------------------------------------------------------
-# pattern table: signature -> ordered embedding count
-
-
-def _feasible_signatures(k: int):
-    """All connection signatures a sorted subset can realize.
-
-    c_2 in {0, 1}; c_t <= t - 1; and once positive the count grows by at
-    least one per step (the new heaviest member inherits the previous
-    lightest connection).
-    """
-    sigs: list[tuple[int, ...]] = []
-
-    def extend(prefix: tuple[int, ...]):
-        t = len(prefix) + 2  # the column index the next entry fills
-        if t > k:
-            sigs.append(prefix)
-            return
-        lo = prefix[-1] + 1 if prefix and prefix[-1] >= 1 else 0
-        for c in range(lo, t):
-            extend(prefix + (c,))
-
-    extend(())
-    return sigs
-
-
-def _embedding_count(k: int, edges: frozenset, connected: frozenset) -> int:
-    """Ordered embeddings of the motif into a k-slot adjacency pattern."""
-    # adjacency among slots, symmetric
-    adj = [[False] * (k + 1) for _ in range(k + 1)]
-    for s, t in connected:
-        adj[s][t] = adj[t][s] = True
-    # motif constraints grouped by the later-assigned vertex
-    later_edges: list[list[int]] = [[] for _ in range(k + 1)]
-    for s, t in edges:
-        later_edges[max(s, t)].append(min(s, t))
-
-    slots = list(range(1, k + 1))
-    assigned = [0] * (k + 1)
-    used = [False] * (k + 1)
-
-    def backtrack(v: int) -> int:
-        if v > k:
-            return 1
-        total = 0
-        for slot in slots:
-            if used[slot]:
-                continue
-            if all(adj[slot][assigned[u]] for u in later_edges[v]):
-                used[slot] = True
-                assigned[v] = slot
-                total += backtrack(v + 1)
-                used[slot] = False
-        return total
-
-    return backtrack(1)
-
-
-@lru_cache(maxsize=128)
-def _pattern_table(motif: Motif) -> np.ndarray:
-    """Dense table M[c_2, ..., c_k] of embedding counts; -1 marks signatures
-    no weight vector can realize (never indexed by the census)."""
-    k = motif.k
-    shape = tuple(range(2, k + 1))
-    table = np.full(shape, -1, dtype=np.int64)
-    for sig in _feasible_signatures(k):
-        connected = frozenset(
-            (s, t) for t, c in zip(range(2, k + 1), sig) for s in range(t - c, t)
-        )
-        table[sig] = _embedding_count(k, motif.edges, connected)
-    return table
-
-
-# ---------------------------------------------------------------------------
 # census
 
 
-def count_motif_tuples(
-    g: GraphSample, motif: Motif, work_cap: int = DEFAULT_WORK_CAP
-) -> int:
+def _creation_sequence(g: GraphSample) -> list[bool]:
+    """Vertex types in creation order: True for dominating, False for isolated.
+
+    Two pointers over the sorted weights peel off the last-created vertex:
+    when the lightest and heaviest remaining weights form an edge, the
+    heaviest is adjacent to every remaining vertex, otherwise the lightest is
+    adjacent to none of them.
+    """
+    w = g.sorted_weights.tolist()
+    lo, hi = 0, g.n - 1
+    peeled = []
+    while lo < hi:
+        if w[lo] + w[hi] > g.theta:
+            peeled.append(True)
+            hi -= 1
+        else:
+            peeled.append(False)
+            lo += 1
+    peeled.append(True)  # the first vertex has no earlier vertex; either type
+    return peeled[::-1]
+
+
+@lru_cache(maxsize=128)
+def _pattern_table(motif: Motif) -> tuple:
+    """DP transitions, indexed by vertex type (isolated, dominating).
+
+    Each entry lists ``(T, get)`` pairs in decreasing order of the state T,
+    where ``get(dp)`` returns ``dp[T]`` and every ``dp[T - {v}]`` whose motif
+    vertex v that vertex type may take; states with no way in are left out.
+    Updating in decreasing order reads each ``dp[T - {v}]`` before it changes.
+    """
+    k = motif.k
+    nbrs = [0] * k
+    for s, t in motif.edges:
+        nbrs[s - 1] |= 1 << (t - 1)
+        nbrs[t - 1] |= 1 << (s - 1)
+    table = []
+    for dominating in (False, True):
+        rows = []
+        for state in range((1 << k) - 1, 0, -1):
+            sources = [state ^ (1 << v) for v in range(k)
+                       if state >> v & 1 and (dominating or not nbrs[v] & state)]
+            if sources:
+                rows.append((state, itemgetter(state, *sources)))
+        table.append(tuple(rows))
+    return tuple(table)
+
+
+def count_motif_tuples(g: GraphSample, motif: Motif) -> int:
     """Number of ordered distinct k-tuples realizing every motif edge.
 
     Equals the sum over unordered k-subsets of k! times the symmetrized
     indicator; the subgraph count isomorphic to the motif is this divided by
-    the motif's symmetry count.
+    the motif's symmetry count.  Exact at any size, in O(n k 2^k) time.
     """
     n, k = g.n, motif.k
     if k > n:
         raise DomainError(f"motif needs {k} vertices but the graph has {n}")
-    work = math.comb(n, k) * math.factorial(k)
-    if work > work_cap:
-        raise CapacityError(
-            f"census needs {work} nominal kernel evaluations, over the cap "
-            f"of {work_cap}"
-        )
-    if k == 1:
-        return n  # a single-vertex motif has no edges to realize
-
-    sw = g.sorted_weights
-    first_ok = np.searchsorted(sw, g.theta - sw, side="right")  # A[j]
-    # gate[x] = first sorted position j with first_ok[j] <= x, so that for
-    # positions i < j:  adjacent(i, j)  iff  j >= gate[i]
-    gate = np.searchsorted(-first_ok, -np.arange(n), side="left")
-
     table = _pattern_table(motif)
-    total = 0
-    for fixed in itertools.combinations(range(n), k - 2):
-        f_arr = np.asarray(fixed, dtype=np.int64)
-        prefix_sig = []
-        for t_idx in range(1, k - 2):
-            a = first_ok[fixed[t_idx]]
-            prefix_sig.append(int(np.count_nonzero(f_arr[:t_idx] >= a)))
-        m_slice = table[tuple(prefix_sig)]
-        if k == 2:
-            m_slice = m_slice[np.newaxis, :]
-
-        r0 = fixed[-1] + 1 if fixed else 0
-        mlen = n - r0
-        if mlen < 2:
-            continue
-        rem = np.arange(r0, n, dtype=np.int64)
-        # connections of each remaining position back into the fixed prefix
-        base = (k - 2) - np.searchsorted(f_arr, first_ok[rem], side="left")
-
-        # suffix[c, t] = #{j >= t in rem : base[j] = c}
-        onehot = np.zeros((k - 1, mlen), dtype=np.int64)
-        onehot[base, np.arange(mlen)] = 1
-        suffix = np.zeros((k - 1, mlen + 1), dtype=np.int64)
-        suffix[:, :-1] = onehot[:, ::-1].cumsum(axis=1)[:, ::-1]
-
-        idx1 = np.arange(1, mlen + 1, dtype=np.int64)
-        split = np.clip(gate[rem] - r0, idx1, mlen)
-        grid = m_slice[base]  # (mlen, k): row i maps c_k -> embeddings
-        s_lo = suffix[:, idx1]  # partners j > i, any adjacency
-        s_hi = suffix[:, split]  # partners j with (i, j) adjacent
-        term_far = np.einsum("ic,ci->", grid[:, : k - 1], s_lo - s_hi)
-        term_adj = np.einsum("ic,ci->", grid[:, 1:k], s_hi)
-        total += int(term_far + term_adj)
-    return total
-
-
-def count_motif_tuples_naive(g: GraphSample, motif: Motif) -> int:
-    """Reference census by direct permutation enumeration (small n only)."""
-    w = g.weights
-    total = 0
-    for subset in itertools.combinations(range(g.n), motif.k):
-        for perm in itertools.permutations(subset):
-            total += all(
-                w[perm[s - 1]] + w[perm[t - 1]] > g.theta for s, t in motif.edges
-            )
-    return total
+    dp = [1] + [0] * ((1 << k) - 1)  # dp[S]: ways to place the motif vertices in S
+    for dominating in _creation_sequence(g):
+        for state, get in table[dominating]:
+            dp[state] = sum(get(dp))
+    return dp[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -9,17 +9,14 @@ avalanche of the pair (documented so the seed -> sample mapping is stable):
     z = splitmix64(s) + (i + 1) * 0x9E3779B97F4A7C15   (mod 2**64)
     seed_i = splitmix64(z)
 
-Replicates therefore do not depend on scheduling: any thread count yields the
-same sample multiset, and reports are byte-identical for identical inputs.
-Sample moments are reduced with exact summation (math.fsum) so the reduction
-order cannot perturb reported means.
+Reports are therefore byte-identical for identical inputs.  Sample moments
+are reduced with exact summation (math.fsum) so the reduction order cannot
+perturb reported means.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -114,12 +111,10 @@ def run_replicates(
     params: dict,
     replicates: int,
     master_seed: int,
-    threads: Optional[int] = None,
 ) -> ReplicateReport:
     """Run ``replicates`` independent replicates of a named experiment.
 
-    Replicate ``i`` receives the stream derived from ``(master_seed, i)``;
-    the result does not depend on thread count or scheduling order.
+    Replicate ``i`` receives the stream derived from ``(master_seed, i)``.
     """
     if experiment not in _EXPERIMENTS:
         raise UsageError(
@@ -128,21 +123,7 @@ def run_replicates(
     if replicates < 1:
         raise DomainError("replicate count must be >= 1")
     fn, columns = _EXPERIMENTS[experiment]
-    if threads is None:
-        threads = max(1, int(os.environ.get("THRESHNET_THREADS", "1")))
-
-    rows: list = [None] * replicates
-
-    def work(i: int) -> None:
-        rows[i] = fn(params, make_stream(master_seed, i))
-
-    if threads == 1:
-        for i in range(replicates):
-            work(i)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(replicates)))
-
+    rows = [fn(params, make_stream(master_seed, i)) for i in range(replicates)]
     samples = np.asarray(rows, dtype=float)
     if samples.ndim == 1:
         mean, var, se = _column_moments(samples)

@@ -132,9 +132,9 @@ def test_bad_dist_spec_usage_error(tmp_path):
 
 def test_capacity_error_exit_code(tmp_path):
     out = tmp_path / "m.json"
-    code = run(["motif", "--dist", "uniform:0,1", "--theta", "1", "--n", "500",
-                "--motif", "k=4;edges=1-2,2-3,3-4,4-1", "--seed", "1",
-                "--work-cap", "1000", "--out", str(out)])
+    code = run(["spatial", "--mode", "direct", "--d", "3", "--beta", "1",
+                "--theta", "1", "--lambda", "1", "--r", "10000",
+                "--dist", "uniform:0,1", "--R", "2", "--out", str(out)])
     assert code == 2
     assert not out.exists()
 

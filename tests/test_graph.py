@@ -1,6 +1,7 @@
 """Graph statistics: worked examples, structural identities, and exact
 parity against a dense-adjacency oracle."""
 
+import itertools
 import math
 
 import numpy as np
@@ -92,18 +93,27 @@ def test_edge_list_cap_error_names_count():
         graph.edge_list(g, cap=10)
 
 
-def test_edge_csv_export(tmp_path):
-    g = graph.GraphSample.from_weights([0.2, 0.6, 0.9], 1.0)
-    path = tmp_path / "edges.csv"
-    graph.write_edges_csv(g, path)
-    assert path.read_bytes() == b"i,j\n1,3\n2,3\n"
-
-
 def test_triangle_examples():
     assert graph.count_triangles(graph.GraphSample.from_weights([0.6, 0.6, 0.6], 1.0)) == 1
     g = graph.GraphSample.from_weights([0.2, 0.6, 0.9, 0.95], 1.0)
     assert graph.count_triangles(g) == 2
     assert graph.count_triangles(graph.GraphSample.from_weights([0.9, 0.9], 1.0)) == 0
+
+
+def test_triangles_follow_the_sum_rule_under_rounding():
+    # 1 - 0.9 rounds below 0.1, yet 0.1 + 0.9 == 1 is no edge
+    for w in ([0.1, 0.9, 0.9], [5e-324, 1.0, 1.0], [0.1, 0.1, 0.9, 0.9, 0.9]):
+        g = graph.GraphSample.from_weights(w, 1.0)
+        edges = set(graph.edge_list(g))
+        brute = sum({(a, b), (a, c), (b, c)} <= edges
+                    for a, b, c in itertools.combinations(range(1, g.n + 1), 3))
+        assert graph.count_triangles(g) == brute
+
+
+def test_triangle_count_exact_beyond_int64():
+    n = 4_000_000
+    g = graph.GraphSample.from_weights(np.full(n, 0.6), 1.0)
+    assert graph.count_triangles(g) == math.comb(n, 3)
 
 
 def test_local_triangle_examples():

@@ -1,11 +1,14 @@
-"""Motif machinery: symmetry counts, kernels, census parity against naive
-permutation enumeration, and the Monte Carlo estimators."""
+"""Motif machinery: symmetry counts, reference kernels, census parity against
+naive permutation enumeration, and the Monte Carlo estimators."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from threshnet import dist, graph, motifs
 from threshnet.errors import CapacityError, DomainError
@@ -18,6 +21,40 @@ C4 = motifs.parse_motif("k=4;edges=1-2,2-3,3-4,4-1")
 K4 = motifs.Motif.from_edges(4, [(a, b) for a in range(1, 5) for b in range(a + 1, 5)])
 EDGELESS3 = motifs.Motif.from_edges(3, [])
 STAR5 = motifs.parse_motif("k=5;edges=1-2,1-3,1-4,1-5")
+
+
+# ---------------------------------------------------------------------------
+# reference kernels and census by direct enumeration
+
+
+def motif_indicator(motif, x, theta):
+    """1 iff the weight tuple realizes every motif edge."""
+    if len(x) != motif.k:
+        raise DomainError(f"expected {motif.k} weights, got {len(x)}")
+    return int(all(x[s - 1] + x[t - 1] > theta for s, t in motif.edges))
+
+
+def motif_indicator_symmetrized(motif, x, theta):
+    """Average of the indicator over all k! argument orders, as an exact
+    rational m/k! (repeated values still contribute one permutation each)."""
+    if len(x) != motif.k:
+        raise DomainError(f"expected {motif.k} weights, got {len(x)}")
+    hits = 0
+    for perm in itertools.permutations(x):
+        hits += all(perm[s - 1] + perm[t - 1] > theta for s, t in motif.edges)
+    return Fraction(hits, math.factorial(motif.k))
+
+
+def count_motif_tuples_naive(g, motif):
+    """Reference census by direct permutation enumeration (small n only)."""
+    w = g.weights
+    total = 0
+    for subset in itertools.combinations(range(g.n), motif.k):
+        for perm in itertools.permutations(subset):
+            total += all(
+                w[perm[s - 1]] + w[perm[t - 1]] > g.theta for s, t in motif.edges
+            )
+    return total
 
 
 def test_symmetry_counts():
@@ -49,21 +86,21 @@ def test_parse_motif_roundtrip():
 
 
 def test_indicator_examples():
-    assert motifs.motif_indicator(TRI, (0.6, 0.6, 0.6), 1.0) == 1
-    assert motifs.motif_indicator(TRI, (0.2, 0.6, 0.9), 1.0) == 0
-    assert motifs.motif_indicator(EDGELESS3, (0.0, 0.0, 0.0), 1.0) == 1
+    assert motif_indicator(TRI, (0.6, 0.6, 0.6), 1.0) == 1
+    assert motif_indicator(TRI, (0.2, 0.6, 0.9), 1.0) == 0
+    assert motif_indicator(EDGELESS3, (0.0, 0.0, 0.0), 1.0) == 1
     with pytest.raises(DomainError):
-        motifs.motif_indicator(TRI, (0.5, 0.5), 1.0)
+        motif_indicator(TRI, (0.5, 0.5), 1.0)
 
 
 def test_symmetrized_indicator():
-    assert motifs.motif_indicator_symmetrized(TRI, (0.6, 0.6, 0.6), 1.0) == 1
-    assert motifs.motif_indicator_symmetrized(EDGE, (0.2, 0.9), 1.0) == 1
-    val = motifs.motif_indicator_symmetrized(PATH3, (0.2, 0.9, 0.2), 1.0)
+    assert motif_indicator_symmetrized(TRI, (0.6, 0.6, 0.6), 1.0) == 1
+    assert motif_indicator_symmetrized(EDGE, (0.2, 0.9), 1.0) == 1
+    val = motif_indicator_symmetrized(PATH3, (0.2, 0.9, 0.2), 1.0)
     assert val == Fraction(2, 6)
     # constant input: symmetrization changes nothing
     for x in (0.3, 0.7):
-        assert motifs.motif_indicator_symmetrized(TRI, (x, x, x), 1.0) == motifs.motif_indicator(
+        assert motif_indicator_symmetrized(TRI, (x, x, x), 1.0) == motif_indicator(
             TRI, (x, x, x), 1.0
         )
 
@@ -72,7 +109,7 @@ def test_symmetrized_range_random_inputs():
     rng = np.random.default_rng(12)
     for _ in range(10_000):
         x = rng.random(3)
-        v = motifs.motif_indicator_symmetrized(PATH3, tuple(x), 1.0)
+        v = motif_indicator_symmetrized(PATH3, tuple(x), 1.0)
         assert 0 <= v <= 1
 
 
@@ -87,11 +124,20 @@ def test_census_examples():
 
 
 def test_census_work_cap():
-    g = graph.GraphSample.from_weights(np.linspace(0, 1, 50), 1.0)
-    with pytest.raises(CapacityError):
-        motifs.count_motif_tuples(g, C4, work_cap=1000)
+    # no cap on the graph size; the one size error left is a motif larger
+    # than the graph
     with pytest.raises(DomainError):
         motifs.count_motif_tuples(graph.GraphSample.from_weights([0.5, 0.5], 1.0), TRI)
+
+
+def test_census_closed_forms():
+    n = 60_000
+    complete = graph.GraphSample.from_weights(np.full(n, 0.6), 1.0)
+    count = motifs.count_motif_tuples(complete, C4)
+    assert count == n * (n - 1) * (n - 2) * (n - 3) and count > 2**63
+    n = 3000
+    edgeless = graph.GraphSample.from_weights(np.full(n, 0.4), 1.0)
+    assert motifs.count_motif_tuples(edgeless, EDGELESS3) == n * (n - 1) * (n - 2)
 
 
 def test_census_parity_with_naive():
@@ -109,7 +155,32 @@ def test_census_parity_with_naive():
         g = graph.GraphSample.from_weights(w, theta)
         m = cases[trial % len(cases)]
         if m.k <= n:
-            assert motifs.count_motif_tuples(g, m) == motifs.count_motif_tuples_naive(g, m)
+            assert motifs.count_motif_tuples(g, m) == count_motif_tuples_naive(g, m)
+
+
+# a grid that hits theta/2 and pairs summing exactly to theta = 1, mixed with
+# arbitrary floats, so ties on both sides of the strict edge rule occur
+WEIGHTS = st.one_of(st.sampled_from([0.25, 0.5, 0.75]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def census_cases(draw):
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(k, 10))
+    pairs = list(itertools.combinations(range(1, k + 1), 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    weights = draw(st.lists(WEIGHTS, min_size=n, max_size=n))
+    return motifs.Motif.from_edges(k, edges), weights
+
+
+@settings(max_examples=150, deadline=None)
+@given(census_cases())
+@example((TRI, [0.1, 0.9, 0.9]))  # 1 - 0.9 rounds below 0.1, yet 0.1 + 0.9 == 1
+@example((TRI, [5e-324, 1.0, 1.0]))
+def test_census_matches_naive_property(case):
+    motif, weights = case
+    g = graph.GraphSample.from_weights(weights, 1.0)
+    assert motifs.count_motif_tuples(g, motif) == count_motif_tuples_naive(g, motif)
 
 
 def test_census_triangle_matches_fast_counter():

@@ -38,26 +38,11 @@ def test_run_replicates_single():
     assert rep.variance == 0.0
 
 
-def test_run_replicates_thread_invariance():
-    params = {"dist": "uniform:0,1", "theta": 1.0, "n": 300}
-    one = stats.run_replicates("degree", params, 64, 7, threads=1)
-    many = stats.run_replicates("degree", params, 64, 7, threads=8)
-    assert np.array_equal(one.samples, many.samples)
-
-
 def test_run_replicates_errors():
     with pytest.raises(UsageError):
         stats.run_replicates("nope", {}, 1, 0)
     with pytest.raises(DomainError):
         stats.run_replicates("degree", {"dist": "uniform:0,1", "theta": 1, "n": 5}, 0, 0)
-
-
-def test_thread_env_variable(monkeypatch):
-    params = {"dist": "uniform:0,1", "theta": 1.0, "n": 100}
-    base = stats.run_replicates("degree", params, 32, 5)
-    monkeypatch.setenv("THRESHNET_THREADS", "4")
-    env = stats.run_replicates("degree", params, 32, 5)
-    assert np.array_equal(base.samples, env.samples)
 
 
 # ---------------------------------------------------------------------------
