@@ -304,12 +304,7 @@ def local_limit_cdf(lcfg: limits.LimitConfig, grid: int):
     """CDF of the limiting local triangle density: the conditional triangle
     probability of a random weight, tabulated on a fine quantile grid."""
     us = (np.arange(grid) + 0.5) / grid
-    values = np.sort(
-        [
-            limits.conditional_triangle_probability(lcfg, float(lcfg.dist._ppf(u)))
-            for u in us
-        ]
-    )
+    values = np.sort(limits.conditional_triangle_probability(lcfg, lcfg.dist._ppf(us)))
 
     def cdf(t: float) -> float:
         return float(np.searchsorted(values, t, side="right")) / grid
@@ -335,23 +330,21 @@ def _cmd_limits(cfg: dict) -> None:
         _write_table_csv(out, "t,cdf", rows)
     elif table == "h1":
         grid = int(cfg["grid"])
-        us = (np.arange(grid) + 0.5) / grid
-        rows = []
-        for u in us:
-            x = float(dist._ppf(u))
-            rows.append((x, limits.conditional_triangle_probability(lcfg, x)))
-        _write_table_csv(out, "x,h1", rows)
+        xs = dist._ppf((np.arange(grid) + 0.5) / grid)
+        h1 = limits.conditional_triangle_probability(lcfg, xs)
+        _write_table_csv(out, "x,h1", zip(xs.tolist(), h1.tolist()))
     else:  # summary
         holds, witness = check_split_support(dist, lcfg.theta)
         try:
             cov, corr = limits.edge_conditioned_correlation(lcfg)
         except DegenerateConditioningError:
             cov = corr = None
+        f3 = limits.triangle_probability(lcfg)
         payload = {
             "config": {"dist": cfg["dist"], "theta": lcfg.theta},
             "edge_probability": limits.edge_probability(lcfg),
-            "triangle_probability": limits.triangle_probability(lcfg),
-            "triangle_kernel_variance": limits.triangle_kernel_variance(lcfg),
+            "triangle_probability": f3,
+            "triangle_kernel_variance": limits.triangle_kernel_variance(lcfg, f3),
             "limit_cov_given_edge": cov,
             "limit_corr_given_edge": corr,
             "split_support": holds,

@@ -24,11 +24,15 @@ kinds sum atoms exactly.  Atoms are never smoothed.  Quantiles of nodes above
 ``u = 1/2`` are taken from ``1 - u`` directly, so finite tail moments of
 unbounded laws stay finite.
 
-:func:`quad_checked` integrates array-valued integrands on ``[lo, hi]`` (with
-``hi`` possibly infinite) for the oracles in ``limits`` and ``spatial``:
-composite 21-node Gauss-Legendre panels that start at the caller's
-breakpoints, refined by halving, every level in one vectorized call of the
-integrand.  Only numpy is needed at run time.
+Every integrand is elementwise: it maps an array of points to an array of
+values (a constant is broadcast).  :func:`expectation` calls ``g`` once per
+quadrature cell on that cell's 21 nodes, or once on all atoms of a discrete
+law.  :func:`quad_checked` integrates on ``[lo, hi]`` (with ``hi`` possibly
+infinite) for the oracles in ``limits`` and ``spatial``: composite 21-node
+Gauss-Legendre panels that start at the caller's breakpoints, refined by
+halving, every level in one call of the integrand.  Given arrays of bounds
+it integrates all rows in one batch, each row exactly as a call of its own.
+Only numpy is needed at run time.
 """
 
 from __future__ import annotations
@@ -274,22 +278,30 @@ def parse_dist(spec: str) -> WeightDistribution:
 # expectations
 
 
+def _values_at(g, xs, what: str):
+    """``g`` on the node array ``xs`` in one call, broadcast to its shape and
+    checked finite."""
+    vals = np.broadcast_to(np.asarray(g(xs), dtype=float), xs.shape)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        raise NumericError(f"integrand not finite at {what}={xs[bad][0]}")
+    return vals
+
+
 def expectation(dist: WeightDistribution, g, *, limit: int = 256) -> float:
     """Integrate ``g`` against the weight law.
 
     Discrete kinds sum atoms exactly.  Continuous kinds integrate
     ``g(quantile(u))`` over ``u in (0, 1)`` with adaptive bisection
-    quadrature; ``limit`` scales the refinement budget.  ``g`` must accept a
-    scalar and return a finite scalar wherever the law has mass.
+    quadrature; ``limit`` scales the refinement budget.  ``g`` is
+    elementwise: it maps an array of weights (one quadrature cell's nodes,
+    or all atoms of a discrete law) to an array of values of the same shape,
+    or to a constant, and must be finite wherever the law has mass.
     """
     if dist.is_discrete:
-        terms = []
-        for x, p in dist.atoms():
-            gx = g(x)
-            if not math.isfinite(gx):
-                raise NumericError(f"integrand not finite at atom x={x}")
-            terms.append(p * gx)
-        return math.fsum(terms)
+        xs = np.array([x for x, _ in dist.atoms()])
+        ps = np.array([p for _, p in dist.atoms()])
+        return math.fsum((ps * _values_at(g, xs, "atom x")).tolist())
 
     def cell(a, b):
         # Nodes above u = 1/2 take their quantile from v = 1 - u, which is
@@ -300,13 +312,7 @@ def expectation(dist: WeightDistribution, g, *, limit: int = 256) -> float:
         u = a + half * (_GL_NODES + 1.0)
         v = (1.0 - b) + half * (1.0 - _GL_NODES)
         xs = np.where(u <= 0.5, dist._ppf(np.minimum(u, 0.5)), dist._isf(v))
-        terms = []
-        for x, w in zip(xs.tolist(), _GL_WEIGHT_LIST):
-            gx = g(x)
-            if not math.isfinite(gx):
-                raise NumericError(f"integrand not finite at x={x}")
-            terms.append(w * gx)
-        return half * math.fsum(terms)
+        return half * math.fsum((_GL_WEIGHTS * _values_at(g, xs, "x")).tolist())
 
     # Two full adaptive passes over incommensurate seed partitions.  A jump
     # of g can hide only in the node-free sliver beside a persistent cell
@@ -329,7 +335,6 @@ def expectation(dist: WeightDistribution, g, *, limit: int = 256) -> float:
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(21)
-_GL_WEIGHT_LIST = _GL_WEIGHTS.tolist()
 
 
 def _adaptive_unit_integral(
@@ -374,89 +379,148 @@ _QUAD_RTOL = 1e-11
 _QUAD_FAIL_RTOL = 1e-6
 
 
-def _gl_panels(g, starts, ends, span: str):
-    """Gauss-Legendre values of ``g`` and of ``|g|`` on every panel, from one
-    call of ``g`` on the array of all their nodes."""
-    half = 0.5 * (ends - starts)
-    nodes = (starts + half)[:, None] + half[:, None] * _GL_NODES
-    vals = np.broadcast_to(np.asarray(g(nodes.ravel()), dtype=float), nodes.size)
-    vals = vals.reshape(nodes.shape)
-    if not np.all(np.isfinite(vals)):
-        bad = nodes[~np.isfinite(vals)][0]
-        raise NumericError(f"integrand not finite at node {bad} of {span}")
-    value = half * (vals * _GL_WEIGHTS).sum(axis=1)
-    return value, half * (np.abs(vals) * _GL_WEIGHTS).sum(axis=1)
-
-
-def quad_checked(f, lo: float, hi: float, *, points=None, limit: int = 256) -> float:
+def quad_checked(f, lo, hi, *, points=None, args=(), limit: int = 256):
     """Integrate ``f`` over [lo, hi] with adaptive Gauss-Legendre panels.
 
-    ``f`` maps an array of nodes to an array of values.  ``lo`` must be
-    finite; ``hi`` may be ``inf``, in which case ``s = lo + t/(1 - t)`` maps
-    the range onto ``t in [0, 1)``.  The first panels run between the
-    breakpoints ``points`` that lie inside (lo, hi).  Each level evaluates
-    every open panel's halves (and, at the first level, the panel itself)
-    in one call of ``f``; a panel closes when whole and halves agree within
-    its width's share of 1e-11 times the integral of |f|, and its halves'
-    sum is kept.  Raises NumericError on a non-finite integrand value, when
-    more than ``limit`` panels are needed, or when the summed error
-    estimate exceeds 1e-6 of the integral of |f|.
+    ``f`` is elementwise: it maps an array of nodes to an array of values.
+    ``lo`` and ``hi`` are floats, or arrays of m rows (broadcast together)
+    that are integrated in one batch; ``points`` is then either 1-D and
+    shared by every row or of shape (m, p), padded with NaN, and each array
+    in ``args`` holds one value per row, gathered onto that row's nodes, so
+    ``f`` is called as ``f(nodes, *(a[row] for a in args))``.
+
+    ``lo`` must be finite; ``hi`` may be ``inf``, in which case
+    ``s = lo + t/(1 - t)`` maps the range onto ``t in [0, 1)``.  A row's
+    first panels run between its breakpoints that lie inside (lo, hi).
+    Each level evaluates every open panel's halves (and, at the first level,
+    the panel itself) of every row in one call of ``f``; a panel closes when
+    whole and halves agree within its width's share of 1e-11 times its
+    row's integral of |f|, and its halves' sum is kept.  Each row returns
+    the ``fsum`` of its own kept panels, so it equals a call on that row
+    alone bit for bit.  Raises NumericError, naming the row's span, on a
+    non-finite integrand value, when a row needs more than ``limit`` panels,
+    or when a row's summed error estimate exceeds 1e-6 of its integral of
+    |f|.  Returns a float for scalar ``lo`` and ``hi``, else an array.
     """
-    if not (math.isfinite(lo) and lo <= hi):
-        raise DomainError(f"quadrature needs a finite lo <= hi, got [{lo}, {hi}]")
-    if lo == hi:
-        return 0.0
-    span = f"[{lo}, {hi}]"
-    cuts = sorted({float(p) for p in points or () if lo < p < hi})
-    budget = max(limit, 2 * len(cuts) + 16)
-    g = f
-    if math.isinf(hi):
+    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
+    los, his = (v.tolist() for v in np.broadcast_arrays(
+        np.ravel(lo).astype(float), np.ravel(hi).astype(float)))
+    m = len(los)
+    pts = np.asarray([] if points is None else points, dtype=float)
+    cut_rows = pts.tolist() if pts.ndim == 2 else [pts.tolist()] * m
 
-        def g(t, s0=lo):
-            rest = 1.0 - t
-            return f(s0 + t / rest) / (rest * rest)
+    def span(i):
+        return f"[{los[i]}, {his[i]}]"
 
-        cuts = [(p - lo) / (1.0 + p - lo) for p in cuts]
-        lo, hi = 0.0, 1.0
-    a = np.array([lo, *cuts])
-    b = np.array([*cuts, hi])
-    whole = None
-    kept_values: list = []
-    kept_errors: list = []
-    n_kept = 0
-    while a.size:
-        n = a.size
-        mid = 0.5 * (a + b)
-        starts, ends = np.concatenate([a, mid]), np.concatenate([mid, b])
-        if whole is None:  # first level: the panels themselves, then halves
-            est, mass = _gl_panels(g, np.concatenate([a, starts]),
-                                   np.concatenate([b, ends]), span)
-            whole, est = est[:n], est[n:]
-            scale = float(mass[n:].sum())  # the integral of |f|
-        else:
-            est, _ = _gl_panels(g, starts, ends, span)
+    # Each row's first panels run between its cuts; an infinite row is
+    # integrated in t on [0, 1) from its own lo.
+    a0, b0, rows0, budget, width, row_panels = [], [], [], [0] * m, [1.0] * m, {}
+    for i, (l, h) in enumerate(zip(los, his)):
+        if not (math.isfinite(l) and l <= h):
+            raise DomainError(f"quadrature needs a finite lo <= hi, got {span(i)}")
+        if l == h:
+            continue
+        cuts = sorted({p for p in cut_rows[i] if l < p < h})
+        budget[i] = max(limit, 2 * len(cuts) + 16)
+        if math.isinf(h):
+            cuts = [(p - l) / (1.0 + p - l) for p in cuts]
+            l, h = 0.0, 1.0
+        width[i] = h - l
+        row_panels[i] = (len(a0), len(a0) + len(cuts) + 1)
+        a0 += [l, *cuts]
+        b0 += [*cuts, h]
+        rows0 += [i] * (len(cuts) + 1)
+    values = np.zeros(m)
+    if not a0:
+        return float(values[0]) if scalar else values
+    s0 = np.array(los)
+    infinite = np.isinf(his)
+    mapping = bool(infinite.any())
+    extra = [np.asarray(arg) for arg in args]
+    nodes_per_panel = _GL_NODES.size
+
+    def panels(starts, ends, rows):
+        # Gauss-Legendre values of f and of |f| on every panel, from one
+        # call of f on the array of all their nodes.
+        half = 0.5 * (ends - starts)
+        t = (starts + half)[:, None] + half[:, None] * _GL_NODES
+        s = t
+        if mapping:
+            on_t = infinite[rows]
+            rest = 1.0 - t[on_t]
+            s = t.copy()
+            s[on_t] = s0[rows[on_t]][:, None] + t[on_t] / rest
+        vals = np.asarray(
+            f(s.ravel(), *(np.repeat(arg[rows], nodes_per_panel) for arg in extra)),
+            dtype=float,
+        )
+        vals = np.broadcast_to(vals, t.size).reshape(t.shape)
+        if mapping:
+            vals = vals.copy()
+            vals[on_t] /= rest * rest
+        if not np.isfinite(vals).all():
+            k = int(np.flatnonzero(~np.isfinite(vals))[0])
+            raise NumericError(f"integrand not finite at node {t.flat[k]} of "
+                               f"{span(rows[k // nodes_per_panel])}")
+        return (half * (vals * _GL_WEIGHTS).sum(axis=1),
+                half * (np.abs(vals) * _GL_WEIGHTS).sum(axis=1))
+
+    # first level: the panels themselves, then their halves
+    a, b, row = np.array(a0), np.array(b0), np.array(rows0)
+    n = a.size
+    mid = 0.5 * (a + b)
+    est, mass = panels(np.concatenate([a, a, mid]), np.concatenate([b, mid, b]),
+                       np.concatenate([row, row, row]))
+    whole, est = est[:n], est[n:]
+    scale = np.zeros(m)  # each row's integral of |f|: left halves, then right
+    for i, (j, k) in row_panels.items():
+        scale[i] = np.concatenate([mass[n + j:n + k], mass[2 * n + j:2 * n + k]]).sum()
+    width, budget = np.array(width), np.array(budget)
+    n_kept = np.zeros(m, dtype=np.int64)
+    kept_values, kept_errors, kept_rows = [], [], []
+    while True:
         left, right = est[:n], est[n:]
         err = np.abs(whole - (left + right))
         unsplittable = (mid <= a) | (mid >= b)
-        done = (err <= _QUAD_RTOL * scale * (b - a) / (hi - lo)) | unsplittable
+        done = (err <= _QUAD_RTOL * scale[row] * (b - a) / width[row]) | unsplittable
         kept_values.append((left + right)[done])
         kept_errors.append(err[done])
-        n_kept += int(done.sum())
+        kept_rows.append(row[done])
+        n_kept += np.bincount(row[done], minlength=m)
         split = ~done
-        if n_kept + 2 * int(split.sum()) > budget:
+        if not split.any():
+            break
+        over = n_kept + 2 * np.bincount(row[split], minlength=m) > budget
+        if over.any():
+            i = int(np.flatnonzero(over)[0])
             raise NumericError(
-                f"quadrature on {span} exhausted its budget of {budget} panels"
+                f"quadrature on {span(i)} exhausted its budget of {budget[i]} panels"
             )
-        a, b = starts[np.tile(split, 2)], ends[np.tile(split, 2)]
-        whole = est[np.tile(split, 2)]
-    value = math.fsum(np.concatenate(kept_values).tolist())
-    error = math.fsum(np.concatenate(kept_errors).tolist())
-    if error > _QUAD_FAIL_RTOL * scale:
-        raise NumericError(
-            f"quadrature did not converge on {span}: "
-            f"value={value}, error estimate={error}"
-        )
-    return value
+        a = np.concatenate([a[split], mid[split]])
+        b = np.concatenate([mid[split], b[split]])
+        whole = est[np.concatenate([split, split])]
+        row = np.concatenate([row[split], row[split]])
+        n = a.size
+        mid = 0.5 * (a + b)
+        est, _ = panels(np.concatenate([a, mid]), np.concatenate([mid, b]),
+                        np.concatenate([row, row]))
+    kept_rows = np.concatenate(kept_rows)
+    order = np.argsort(kept_rows)
+    ends = np.cumsum(np.bincount(kept_rows, minlength=m)).tolist()
+    kept_values = np.concatenate(kept_values)[order].tolist()
+    kept_errors = np.concatenate(kept_errors)[order].tolist()
+    for i, end in enumerate(ends):
+        start = ends[i - 1] if i else 0
+        if start == end:
+            continue
+        values[i] = value = math.fsum(kept_values[start:end])
+        error = math.fsum(kept_errors[start:end])
+        if error > _QUAD_FAIL_RTOL * scale[i]:
+            raise NumericError(
+                f"quadrature did not converge on {span(i)}: "
+                f"value={value}, error estimate={error}"
+            )
+    return float(values[0]) if scalar else values
 
 
 # ---------------------------------------------------------------------------

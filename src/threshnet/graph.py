@@ -5,13 +5,17 @@ Vertices ``i != j`` are adjacent iff ``weights[i] + weights[j] > theta``
 ever materialized: every statistic runs off the sorted weights.
 
 Counting identities used below, with weights sorted ascending
-``w[0] <= ... <= w[n-1]``:
+``w[0] <= ... <= w[n-1]`` and ``first[j]`` the first position p with
+``w[p] + w[j] > theta`` (a binary search, repaired where the rounding of
+``theta - w[j]`` crosses a weight, so the sum rule holds exactly):
 
-* degree: ``D(i) = #{j : w[j] > theta - w[i]} - [2 w[i] > theta]`` via binary
-  search, the correction removing the self pairing;
+* degree: ``D(j) = n - first[j] - [j >= first[j]]``, the correction removing
+  the self pairing;
 * triangles: a triple is a triangle iff its two smallest weights already sum
-  above theta, so ``T = sum over sorted pairs a < b with w[a] + w[b] > theta
-  of (n - 1 - b)`` (the third vertex ranges over positions after ``b``).
+  above theta, so ``T = sum over b of max(0, b - first[b]) * (n - 1 - b)``
+  (the light partners a of b, times the third vertex after ``b``);
+* local triangles of a vertex: the same pair count ``sum over b of
+  max(0, b - first[b])`` taken over the sorted weights of its neighbours.
 """
 
 from __future__ import annotations
@@ -62,8 +66,11 @@ def sample_graph(
 
 def all_degrees(g: GraphSample) -> np.ndarray:
     """Degree of every vertex, O(n log n) total."""
-    above = g.n - np.searchsorted(g.sorted_weights, g.theta - g.weights, side="right")
-    return (above - (2.0 * g.weights > g.theta)).astype(np.int64)
+    first = _first_adjacent(g.sorted_weights, g.theta)
+    position = np.arange(g.n)
+    degrees = np.empty(g.n, dtype=np.int64)
+    degrees[g.order] = g.n - first - (position >= first)
+    return degrees
 
 
 def edge_count(g: GraphSample) -> int:
@@ -83,15 +90,15 @@ def edge_list(g: GraphSample, cap: int = EDGE_LIST_CAP) -> list[tuple[int, int]]
     return pairs
 
 
-def _first_adjacent(g: GraphSample) -> np.ndarray:
-    """For each sorted position j, the first sorted position p with
-    ``sorted_weights[p] + sorted_weights[j] > theta``.
+def _first_adjacent(sw: np.ndarray, theta: float) -> np.ndarray:
+    """For each position j of the ascending weights ``sw``, the first
+    position p with ``sw[p] + sw[j] > theta``.
 
     A binary search for ``theta - w`` can land off the sum rule where the
     rounding of ``theta - w`` crosses a weight; such positions are moved past
     whole runs of tied weights until the rule holds on both sides.
     """
-    sw, theta, n = g.sorted_weights, g.theta, g.n
+    n = sw.size
     first = np.searchsorted(sw, theta - sw, side="right")
     below = np.empty_like(first)
     pair_sum = np.empty_like(sw)  # buffers reused to keep the peak memory low
@@ -118,7 +125,7 @@ def count_triangles(g: GraphSample) -> int:
     triple.
     """
     n = g.n
-    terms = _first_adjacent(g)
+    terms = _first_adjacent(g.sorted_weights, g.theta)
     b = np.arange(n, dtype=np.int64)
     np.subtract(b, terms, out=terms)  # light partners of each b, in place
     np.maximum(terms, 0, out=terms)
@@ -129,26 +136,19 @@ def count_triangles(g: GraphSample) -> int:
 
 
 def count_local_triangles(g: GraphSample, vertex: int) -> int:
-    """Triangles through one vertex (1-based), via a two-pointer pair count."""
+    """Triangles through one vertex (1-based): the adjacent pairs among its
+    neighbours, counted off their sorted weights like ``count_triangles``."""
     if not 1 <= vertex <= g.n:
         raise DomainError(f"vertex must be in 1..{g.n}")
     xi = float(g.weights[vertex - 1])
     sw = g.sorted_weights
-    start = int(np.searchsorted(sw, g.theta - xi, side="right"))
-    nb = sw[start:]
+    nb = sw[sw + xi > g.theta]
     if 2.0 * xi > g.theta:
-        # the vertex itself sits in its neighbor suffix; drop one copy
-        self_pos = int(np.searchsorted(nb, xi, side="left"))
-        nb = np.delete(nb, self_pos)
-    lo, hi = 0, nb.size - 1
-    count = 0
-    while lo < hi:
-        if nb[lo] + nb[hi] > g.theta:
-            count += hi - lo
-            hi -= 1
-        else:
-            lo += 1
-    return count
+        # the vertex itself is among its neighbours; drop one copy
+        nb = np.delete(nb, np.searchsorted(nb, xi))
+    first = _first_adjacent(nb, g.theta)
+    pairs = np.arange(nb.size) - first  # lighter partners of each neighbour
+    return int(pairs[pairs > 0].sum())
 
 
 def tagged_pair_degrees(

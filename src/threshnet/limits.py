@@ -10,15 +10,20 @@ All continuous-kind integrals run in quantile space, so bounded and
 heavy-tailed supports share one code path: expectations through
 :func:`threshnet.dist.expectation`, and the inner one-dimensional integrals
 of the triangle and correlation oracles through the array-valued
-Gauss-Legendre integrator :func:`threshnet.dist.quad_checked`.  The limiting
-degree CDF of a continuous law is closed form.  Discrete kinds reduce to
-exact atom sums.
+Gauss-Legendre integrator :func:`threshnet.dist.quad_checked`.  Integrands
+are elementwise, so an expectation evaluates a whole quadrature cell at
+once, and the inner integrals of a cell's nodes run as one batch
+(:func:`conditional_triangle_probability` takes any array of weights).  The
+limiting degree CDF of a continuous law is closed form.  Discrete kinds
+reduce to exact atom sums.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .dist import WeightDistribution, expectation, quad_checked
 from .errors import DegenerateConditioningError, DomainError
@@ -50,13 +55,13 @@ def degree_pmf(cfg: LimitConfig, n: int, k: int) -> float:
         math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
     )
 
-    def term(x: float) -> float:
+    def term(x):
         p = 1.0 - dist.cdf(theta - x)
-        if p <= 0.0:
-            return 1.0 if k == 0 else 0.0
-        if p >= 1.0:
-            return 1.0 if k == n else 0.0
-        return math.exp(log_binom + k * math.log(p) + (n - k) * math.log1p(-p))
+        inside = (p > 0.0) & (p < 1.0)
+        q = np.where(inside, p, 0.5)
+        mixed = np.exp(log_binom + k * np.log(q) + (n - k) * np.log1p(-q))
+        edge = np.where(p <= 0.0, float(k == 0), float(k == n))
+        return np.where(inside, mixed, edge)
 
     return expectation(dist, term, limit=cfg.quad_nodes)
 
@@ -78,7 +83,7 @@ def limit_degree_cdf(cfg: LimitConfig, t: float) -> float:
     if dist.is_discrete:
         return expectation(
             dist,
-            lambda x: 1.0 if 1.0 - dist.cdf(theta - x) <= t else 0.0,
+            lambda x: np.where(1.0 - dist.cdf(theta - x) <= t, 1.0, 0.0),
             limit=cfg.quad_nodes,
         )
     upper = dist.support()[1] if t == 0.0 else float(dist._isf(t))
@@ -92,41 +97,44 @@ def edge_probability(cfg: LimitConfig) -> float:
                        limit=cfg.quad_nodes)
 
 
-def conditional_triangle_probability(cfg: LimitConfig, x: float) -> float:
+def conditional_triangle_probability(cfg: LimitConfig, x):
     """P(two fresh weights both exceed theta - x and sum above theta).
 
-    This is the conditional mean of the triangle kernel given one weight.
-    On ``x <= theta/2`` the sum condition is implied and the value is the
+    This is the conditional mean of the triangle kernel given one weight;
+    ``x`` may be a float or an array, and the result has its shape.  On
+    ``x <= theta/2`` the sum condition is implied and the value is the
     exact square of a tail probability; above, the two-dimensional
     probability is integrated in one dimension after conditioning on the
-    smaller fresh weight, split at its breakpoints.
+    smaller fresh weight, split at its breakpoints, in one batched
+    quadrature over all such ``x``.
     """
     dist, theta = cfg.dist, cfg.theta
-    low = theta - x
+    xs = np.asarray(x, dtype=float).reshape(-1)
+    low = theta - xs
     if dist.is_discrete:
-        return math.fsum(
-            p * (1.0 - dist.cdf(max(low, theta - y)))
-            for y, p in dist.atoms()
-            if y > low
-        )
-    tail_low = 1.0 - dist.cdf(low)
-    if x <= theta / 2.0:
-        return tail_low * tail_low
-    u_lo = dist.cdf(low)
-    u_hi = dist.cdf(x)  # theta - low
-    mid = 0.0
-    if u_hi > u_lo:
-        lo_s, hi_s = dist.support()
-        brk = [dist.cdf(theta - hi_s)] if math.isfinite(hi_s) else []
-        brk.append(dist.cdf(theta - lo_s))
-        mid = quad_checked(
-            lambda u: 1.0 - dist.cdf(theta - dist._ppf(u)),
-            u_lo,
-            u_hi,
-            points=brk,
-            limit=cfg.quad_nodes,
-        )
-    return mid + (1.0 - dist.cdf(x)) * tail_low
+        ys = np.array([y for y, _ in dist.atoms()])
+        ps = np.array([p for _, p in dist.atoms()])
+        below = low[:, None]
+        tails = ps * (1.0 - dist.cdf(np.maximum(below, theta - ys)))
+        terms = np.where(ys > below, tails, 0.0)
+        out = np.array([math.fsum(row) for row in terms.tolist()])
+    else:
+        tail_low = 1.0 - dist.cdf(low)
+        out = tail_low * tail_low
+        upper = xs > theta / 2.0
+        if upper.any():
+            lo_s, hi_s = dist.support()
+            brk = [dist.cdf(theta - hi_s)] if math.isfinite(hi_s) else []
+            brk.append(dist.cdf(theta - lo_s))
+            mid = quad_checked(
+                lambda u: 1.0 - dist.cdf(theta - dist._ppf(u)),
+                dist.cdf(low[upper]),
+                dist.cdf(xs[upper]),  # theta - low
+                points=brk,
+                limit=cfg.quad_nodes,
+            )
+            out[upper] = mid + (1.0 - dist.cdf(xs[upper])) * tail_low[upper]
+    return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
 
 def triangle_probability(cfg: LimitConfig) -> float:
@@ -138,8 +146,9 @@ def triangle_probability(cfg: LimitConfig) -> float:
     )
 
 
-def triangle_kernel_variance(cfg: LimitConfig) -> float:
-    """Variance of the conditional triangle probability of a random weight.
+def triangle_kernel_variance(cfg: LimitConfig, f3: float) -> float:
+    """Variance of the conditional triangle probability of a random weight,
+    given its mean ``f3 = triangle_probability(cfg)``.
 
     This is the component driving the triangle-density CLT; clamped at zero
     against quadrature noise (it vanishes for degenerate laws).
@@ -149,7 +158,7 @@ def triangle_kernel_variance(cfg: LimitConfig) -> float:
         lambda x: conditional_triangle_probability(cfg, x) ** 2,
         limit=cfg.quad_nodes,
     )
-    return max(0.0, second - triangle_probability(cfg) ** 2)
+    return max(0.0, second - f3**2)
 
 
 def edge_conditioned_correlation(cfg: LimitConfig) -> tuple[float, float]:
@@ -170,7 +179,7 @@ def edge_conditioned_correlation(cfg: LimitConfig) -> tuple[float, float]:
             "is degenerate"
         )
 
-    def phi(a: float) -> float:
+    def phi(a):
         return 1.0 - dist.cdf(theta - a)
 
     if dist.is_discrete:
@@ -188,13 +197,14 @@ def edge_conditioned_correlation(cfg: LimitConfig) -> tuple[float, float]:
         m1 = expectation(dist, lambda a: phi(a) ** 2, limit=cfg.quad_nodes) / alpha
         m2 = expectation(dist, lambda a: phi(a) ** 3, limit=cfg.quad_nodes) / alpha
 
-        def outer(a: float) -> float:
+        def outer(a):
             u0 = dist.cdf(theta - a)
-            if u0 >= 1.0:
-                return 0.0
-            inner = quad_checked(
-                lambda u: phi(dist._ppf(u)), u0, 1.0, limit=cfg.quad_nodes
-            )
+            inner = np.zeros_like(u0)
+            reach = u0 < 1.0
+            if reach.any():
+                inner[reach] = quad_checked(
+                    lambda u: phi(dist._ppf(u)), u0[reach], 1.0, limit=cfg.quad_nodes
+                )
             return phi(a) * inner
 
         m11 = expectation(dist, outer, limit=cfg.quad_nodes) / alpha

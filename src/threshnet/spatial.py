@@ -24,7 +24,7 @@ import numpy as np
 
 from .dist import WeightDistribution, expectation, parse_dist, quad_checked
 from .errors import CapacityError, DomainError, RegimeError
-from .stats import poisson_pmf, register_experiment
+from .stats import register_experiment
 
 DIRECT_POINT_CAP = 100_000_000
 
@@ -64,52 +64,81 @@ def ball_volume(d: int, r: float) -> float:
 
 
 def radial_intensity(
-    cfg: SpatialConfig, dist: WeightDistribution, x: float, r: float | None = None
-) -> float:
+    cfg: SpatialConfig, dist: WeightDistribution, x, r: float | None = None
+):
     """The radial integral C_r(x) = int_0^r s**(d-1) (1 - F(theta s**beta - x)) ds.
 
     ``r`` defaults to the config radius and may be ``inf`` for the limiting
     value.  For bounded-support laws the integrand vanishes beyond the cutoff
     radius ``((sup support + x) / theta)**(1/beta)``, which is split (or used
-    to truncate) exactly.
+    to truncate) exactly.  ``x`` may be a float (cached) or an array, whose
+    values are integrated in one batched quadrature.
     """
     if r is None:
         r = cfg.r
     if not r > 0.0:
         raise DomainError("radius must be > 0")
-    return _radial_intensity_cached(cfg.d, cfg.beta, cfg.theta, dist, float(x), float(r))
+    if np.ndim(x) == 0:
+        return _radial_intensity_cached(
+            cfg.d, cfg.beta, cfg.theta, dist, float(x), float(r)
+        )
+    xs = np.asarray(x, dtype=float)
+    values = _radial_intensity_rows(cfg.d, cfg.beta, cfg.theta, dist, xs.ravel(), float(r))
+    return values.reshape(xs.shape)
 
 
 @lru_cache(maxsize=65536)
 def _radial_intensity_cached(
     d: int, beta: float, theta: float, dist: WeightDistribution, x: float, r: float
 ) -> float:
-    def integrand(s: float) -> float:
+    return float(_radial_intensity_rows(d, beta, theta, dist, np.array([x]), r)[0])
+
+
+def _radial_intensity_rows(
+    d: int, beta: float, theta: float, dist: WeightDistribution, xs, r: float
+) -> np.ndarray:
+    """C_r at every weight of the 1-D array ``xs``.  Each weight contributes
+    one integral, or a head and a tail when its range is unbounded, and all
+    of them run in one call of :func:`quad_checked`."""
+
+    def integrand(s, x):
         return s ** (d - 1) * (1.0 - dist.cdf(theta * s**beta - x))
 
-    upper = r
-    breakpoints = []
-    if theta > 0.0 and beta > 0.0:
-        lo_s, hi_s = dist.support()
-        if math.isfinite(hi_s):
-            cut = hi_s + x
-            upper = min(upper, (cut / theta) ** (1.0 / beta)) if cut > 0.0 else 0.0
-        flat = lo_s + x  # below this radius the integrand is s**(d-1) exactly
-        if flat > 0.0:
-            breakpoints.append((flat / theta) ** (1.0 / beta))
-        if dist.is_discrete:
+    lo_s, hi_s = dist.support()
+    atoms = [atom for atom, _ in dist.atoms()] if dist.is_discrete else []
+    rows = []  # (index into xs, lo, hi, breakpoints) of each integral
+    for i, x in enumerate(xs.tolist()):
+        upper = r
+        breakpoints = []
+        if theta > 0.0 and beta > 0.0:
+            if math.isfinite(hi_s):
+                cut = hi_s + x
+                upper = min(upper, (cut / theta) ** (1.0 / beta)) if cut > 0.0 else 0.0
+            flat = lo_s + x  # below this radius the integrand is s**(d-1) exactly
+            if flat > 0.0:
+                breakpoints.append((flat / theta) ** (1.0 / beta))
             # the survival factor jumps where theta * s**beta - x crosses an atom
-            for atom, _ in dist.atoms():
+            for atom in atoms:
                 if atom + x > 0.0:
                     breakpoints.append(((atom + x) / theta) ** (1.0 / beta))
-    if upper <= 0.0:
-        return 0.0
-    if math.isinf(upper):
-        split = max([1.0] + [b for b in breakpoints if math.isfinite(b)])
-        head = quad_checked(integrand, 0.0, split, points=breakpoints)
-        tail = quad_checked(integrand, split, math.inf)
-        return max(0.0, head + tail)
-    return max(0.0, quad_checked(integrand, 0.0, upper, points=breakpoints))
+        if upper <= 0.0:
+            continue
+        if math.isinf(upper):
+            split = max([1.0] + [b for b in breakpoints if math.isfinite(b)])
+            rows += [(i, 0.0, split, breakpoints), (i, split, math.inf, [])]
+        else:
+            rows.append((i, 0.0, upper, breakpoints))
+    values = np.zeros(xs.size)
+    if rows:
+        index, lo, hi, cuts = zip(*rows)
+        points = np.full((len(rows), max(map(len, cuts))), np.nan)
+        for j, row_cuts in enumerate(cuts):
+            points[j, : len(row_cuts)] = row_cuts
+        index = np.array(index)
+        parts = quad_checked(integrand, np.array(lo), np.array(hi), points=points,
+                             args=(xs[index],))
+        np.add.at(values, index, parts)  # a head plus its tail
+    return np.maximum(values, 0.0)
 
 
 def sample_origin_degree_direct(
@@ -168,13 +197,14 @@ def origin_degree_pmf(cfg: SpatialConfig, dist: WeightDistribution, k: int) -> f
     if k < 0:
         raise DomainError("k must be >= 0")
     _require_finite_limit(cfg, dist)
-    return expectation(
-        dist,
-        lambda x: poisson_pmf(
-            cfg.lam * sphere_surface(cfg.d) * radial_intensity(cfg, dist, x, math.inf),
-            k,
-        ),
-    )
+
+    def pmf(x):  # the Poisson pmf at k of each weight's limiting mean
+        mean = cfg.lam * sphere_surface(cfg.d) * radial_intensity(cfg, dist, x, math.inf)
+        pos = np.where(mean > 0.0, mean, 1.0)
+        mixed = np.exp(-pos + k * np.log(pos) - math.lgamma(k + 1.0))
+        return np.where(mean > 0.0, mixed, float(k == 0))
+
+    return expectation(dist, pmf)
 
 
 def standardized_origin_degree(

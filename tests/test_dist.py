@@ -116,7 +116,7 @@ def test_expectation_indicator_tail(d):
     # tail expectations must match 1 - cdf to quadrature accuracy
     ts = np.linspace(d.quantile(0.01), d.quantile(0.99), 100)
     for t in ts:
-        val = dist.expectation(d, lambda x, t=t: 1.0 if x > t else 0.0)
+        val = dist.expectation(d, lambda x, t=t: np.where(x > t, 1.0, 0.0))
         assert abs(val - (1.0 - d.cdf(float(t)))) < 1e-8
 
 
@@ -179,6 +179,70 @@ def test_quad_checked_domain():
         dist.quad_checked(np.sin, -math.inf, 0.0)
     with pytest.raises(DomainError):
         dist.quad_checked(np.sin, 1.0, 0.0)
+    with pytest.raises(DomainError, match=r"\[2.0, 1.0\]"):
+        dist.quad_checked(np.sin, np.array([0.0, 2.0]), 1.0)
+
+
+def test_quad_checked_batch_equals_rows():
+    # finite rows, infinite rows, empty rows, per-row breakpoints (NaN
+    # padded) and a per-row parameter: each row equals its own call exactly
+    lo = np.array([0.0, 0.5, 1.0, 0.3, 2.0, 0.0])
+    hi = np.array([1.0, math.inf, 1.0, 4.0, math.inf, 0.7])
+    points = np.array([
+        [0.25, np.nan, np.nan],
+        [0.8, 3.0, np.nan],
+        [0.5, np.nan, np.nan],
+        [1.0, 2.5, 3.5],
+        [np.nan, np.nan, np.nan],
+        [0.35, 0.7, 9.0],
+    ])
+    c = np.array([0.25, 0.8, 0.5, 2.5, 3.0, 0.35])
+    k = np.array([1e-6, 1.0, 1.0, 1e3, 1.0, 1e-3])  # each row has its own scale
+
+    def f(s, c, k):
+        return k * (np.abs(s - c) + np.sin(7.0 * s * s)) * np.exp(-s)
+
+    batch = dist.quad_checked(f, lo, hi, points=points, args=(c, k))
+    rows = [
+        dist.quad_checked(lambda s, i=i: f(s, c[i], k[i]), lo[i], hi[i],
+                          points=[p for p in points[i] if not math.isnan(p)])
+        for i in range(lo.size)
+    ]
+    assert isinstance(rows[0], float) and batch.shape == lo.shape
+    assert batch.tolist() == rows
+    assert batch[2] == 0.0
+    # 1-D breakpoints shared by every row
+    shared = dist.quad_checked(np.sin, lo, hi.clip(max=5.0), points=[0.6, 1.5])
+    assert shared.tolist() == [
+        dist.quad_checked(np.sin, lo[i], min(hi[i], 5.0), points=[0.6, 1.5])
+        for i in range(lo.size)
+    ]
+
+
+def test_quad_checked_batch_errors_name_the_row():
+    lo, hi = np.array([0.0, 2.0, 5.0]), np.array([1.0, 3.0, 6.0])
+    with pytest.raises(NumericError, match=r"not finite at node .* of \[5.0, 6.0\]"):
+        dist.quad_checked(lambda s: np.where(s > 5.2, np.inf, 1.0), lo, hi)
+    with pytest.raises(NumericError, match=r"\[0.0, 10.0\] exhausted its budget"):
+        dist.quad_checked(lambda s: np.sin(200.0 * s * s), np.zeros(2),
+                          np.array([1.0, 10.0]), limit=16)
+
+
+def test_expectation_calls_g_on_node_arrays():
+    shapes = []
+
+    def g(x):
+        shapes.append(np.shape(x))
+        return x
+
+    dist.expectation(dist.uniform(0, 1), g)
+    assert set(shapes) == {(21,)}
+    shapes.clear()
+    law = dist.finite_discrete([(0.1, 0.25), (0.5, 0.5), (1.1, 0.25)])
+    assert dist.expectation(law, g) == pytest.approx(0.55, abs=1e-15)
+    assert shapes == [(3,)]
+    with pytest.raises(NumericError, match="atom x=0.5"):
+        dist.expectation(law, lambda x: np.where(x == 0.5, np.nan, x))
 
 
 # ---------------------------------------------------------------------------

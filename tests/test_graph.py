@@ -121,6 +121,9 @@ def test_local_triangle_examples():
     assert graph.count_local_triangles(g, 1) == 2
     iso = graph.GraphSample.from_weights([0.1, 0.6, 0.9], 1.0)
     assert graph.count_local_triangles(iso, 1) == 0
+    # 1 - 0.9 rounds below 0.1, yet 0.9 + 0.1 == 1 is no edge
+    rounding = graph.GraphSample.from_weights([0.9, 0.1, 0.95], 1.0)
+    assert [graph.count_local_triangles(rounding, i) for i in (1, 2, 3)] == [0, 0, 0]
     with pytest.raises(DomainError):
         graph.count_local_triangles(g, 5)
 
@@ -131,7 +134,11 @@ def test_local_global_identity():
     assert total == 3 * graph.count_triangles(g) == 6
 
 
-def test_oracle_parity_random_instances():
+def _oracle_parity_instances():
+    # rounding cases first: 1 - 0.9 rounds below 0.1, yet 0.1 + 0.9 == 1 is
+    # no edge
+    yield np.array([0.1, 0.9, 0.9, 0.9]), 1.0, 0
+    yield np.array([0.9, 0.1, 0.95]), 1.0, 0
     rng = np.random.default_rng(7)
     for _ in range(100):
         n = int(rng.integers(2, 201))
@@ -143,19 +150,28 @@ def test_oracle_parity_random_instances():
             w = rng.exponential(1.0, n)
         else:
             w = rng.choice([0.2, 0.5, 0.9], n)  # ties on purpose
+        yield w, theta, int(rng.integers(0, n))
+
+
+def test_oracle_parity_random_instances():
+    for w, theta, i in _oracle_parity_instances():
         g = graph.GraphSample.from_weights(w, theta)
         assert graph.all_degrees(g).tolist() == _oracle_degrees(w, theta).tolist()
         assert graph.count_triangles(g) == _oracle_triangles(w, theta)
-        i = int(rng.integers(0, n))
         assert graph.count_local_triangles(g, i + 1) == _oracle_local_triangles(w, theta, i)
 
 
 def test_handshake_identity():
     rng = np.random.default_rng(17)
+    samples = [graph.GraphSample.from_weights([0.1, 0.9, 0.9, 0.9], 1.0)]
     for _ in range(20):
         n = int(rng.integers(2, 120))
-        g = graph.GraphSample.from_weights(rng.random(n), float(rng.uniform(0.3, 1.7)))
+        samples.append(
+            graph.GraphSample.from_weights(rng.random(n), float(rng.uniform(0.3, 1.7)))
+        )
+    for g in samples:
         assert int(graph.all_degrees(g).sum()) == 2 * len(graph.edge_list(g))
+        assert graph.edge_count(g) == len(graph.edge_list(g))
 
 
 def test_coupling_monotonicity():

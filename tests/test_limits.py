@@ -78,7 +78,7 @@ def test_limit_degree_cdf_matches_indicator_definition(law, theta):
         ts += [1.0 - law.cdf(theta - x) for x, _ in law.atoms()]
     for t in ts:
         expected = dist.expectation(
-            law, lambda x, t=t: 1.0 if 1.0 - law.cdf(theta - x) <= t else 0.0
+            law, lambda x, t=t: np.where(1.0 - law.cdf(theta - x) <= t, 1.0, 0.0)
         ) if t < 1.0 else 1.0
         assert limits.limit_degree_cdf(cfg, t) == pytest.approx(expected, abs=1e-8)
 
@@ -129,6 +129,23 @@ def test_conditional_triangle_probability_exp_against_mpmath():
             assert value == pytest.approx(float(exact), rel=1e-10)
 
 
+ALL_KINDS = LIMIT_CDF_KINDS[:2] + [dist.pareto(1.0, 3.0)] + LIMIT_CDF_KINDS[3:]
+
+
+@pytest.mark.parametrize("law", ALL_KINDS, ids=lambda d: d.kind)
+@pytest.mark.parametrize("theta", [1.0, 1.4])
+def test_conditional_triangle_probability_array_equals_scalar_map(law, theta):
+    # below and above theta/2, on the atoms, outside the support
+    cfg = limits.LimitConfig(law, theta)
+    xs = np.array([[-1.0, 0.0, 0.1, 0.2, 0.5], [0.7, 0.9, 1.1, 1.3, 4.0]])
+    values = limits.conditional_triangle_probability(cfg, xs)
+    assert values.shape == xs.shape
+    assert values.tolist() == [
+        [limits.conditional_triangle_probability(cfg, float(x)) for x in row] for row in xs
+    ]
+    assert isinstance(limits.conditional_triangle_probability(cfg, 0.7), float)
+
+
 def test_conditional_consistency_with_triangle_probability():
     for cfg in (UNI, limits.LimitConfig(dist.exponential(1.0), 1.0),
                 limits.LimitConfig(dist.two_point(0.2, 0.5, 0.9), 1.0)):
@@ -160,15 +177,19 @@ def test_triangle_kernel_variance_symbolic_oracle():
     exact = second - first**2
     assert exact == sympy.Rational(1, 30)
     assert second == sympy.Rational(23, 240)
-    assert limits.triangle_kernel_variance(UNI) == pytest.approx(float(exact), abs=1e-6)
+    assert _kernel_variance(UNI) == pytest.approx(float(exact), abs=1e-6)
+
+
+def _kernel_variance(cfg):
+    return limits.triangle_kernel_variance(cfg, limits.triangle_probability(cfg))
 
 
 def test_triangle_kernel_variance_degenerate():
-    assert limits.triangle_kernel_variance(limits.LimitConfig(dist.point_mass(0.7), 1.0)) <= 1e-8
+    assert _kernel_variance(limits.LimitConfig(dist.point_mass(0.7), 1.0)) <= 1e-8
     # threshold below every pairwise sum: kernel constant 1
     cfg = limits.LimitConfig(dist.uniform(0.6, 0.9), 1.0)
-    assert limits.triangle_kernel_variance(cfg) <= 1e-8
-    assert limits.triangle_kernel_variance(UNI) >= 0.0
+    assert _kernel_variance(cfg) <= 1e-8
+    assert _kernel_variance(UNI) >= 0.0
 
 
 def test_edge_conditioned_correlation_uniform():

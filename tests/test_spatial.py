@@ -43,6 +43,36 @@ def test_radial_intensity_uniform_closed_form():
         assert val == pytest.approx((2 * x + 1) / 4, abs=1e-8)
 
 
+RADIAL_KINDS = [
+    UNI,
+    dist.exponential(1.0),
+    dist.pareto(1.0, 3.0),
+    dist.two_point(0.2, 0.5, 0.9),
+    dist.finite_discrete([(0.1, 0.25), (0.5, 0.5), (1.1, 0.25)]),
+    dist.point_mass(0.7),
+]
+
+
+@pytest.mark.parametrize("law", RADIAL_KINDS, ids=lambda d: d.kind)
+@pytest.mark.parametrize(
+    "cfg, r",
+    [
+        (CFG, None),
+        (spatial.SpatialConfig(d=1, beta=1.0, theta=1.2, lam=1.0, r=3.0), math.inf),
+        (spatial.SpatialConfig(d=3, beta=0.5, theta=0.8, lam=1.0, r=2.0), None),
+    ],
+    ids=["d2-r3", "d1-rinf", "d3-r2"],
+)
+def test_radial_intensity_array_equals_scalar_map(law, cfg, r):
+    # unreachable, flat-only, cut-off and unbounded rows in one batch
+    xs = np.array([[-3.0, -0.3, 0.0, 0.2], [0.5, 0.9, 1.5, 2.5]])
+    values = spatial.radial_intensity(cfg, law, xs, r)
+    assert values.shape == xs.shape
+    assert values.tolist() == [
+        [spatial.radial_intensity(cfg, law, float(x), r) for x in row] for row in xs
+    ]
+
+
 def test_radial_intensity_cutoff_is_exact():
     # beyond the cutoff radius the integral equals its r -> inf limit
     at_r = spatial.radial_intensity(CFG, UNI, 0.5, 3.0)
