@@ -244,7 +244,8 @@ def _corr(a: np.ndarray, b: np.ndarray):
 def _cmd_triangles(cfg: dict) -> None:
     _require(cfg, "dist", "theta", "n")
     dist = _parse_dist_arg(cfg["dist"])
-    n, theta = int(cfg["n"]), float(cfg["theta"])
+    n = graph.check_vertex_count(cfg["n"], 3, "the triangle density")
+    theta = float(cfg["theta"])
     g = graph.sample_graph(dist, n, theta, stats.make_stream(int(cfg["seed"])))
     t_count = graph.count_triangles(g)
     lcfg = limits.LimitConfig(dist, theta)
@@ -303,6 +304,8 @@ def _cmd_local(cfg: dict) -> None:
 def local_limit_cdf(lcfg: limits.LimitConfig, grid: int):
     """CDF of the limiting local triangle density: the conditional triangle
     probability of a random weight, tabulated on a fine quantile grid."""
+    if grid < 1:
+        raise DomainError(f"the quantile grid needs grid >= 1, got grid = {grid}")
     us = (np.arange(grid) + 0.5) / grid
     values = np.sort(limits.conditional_triangle_probability(lcfg, lcfg.dist._ppf(us)))
 

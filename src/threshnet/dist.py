@@ -25,14 +25,17 @@ kinds sum atoms exactly.  Atoms are never smoothed.  Quantiles of nodes above
 unbounded laws stay finite.
 
 Every integrand is elementwise: it maps an array of points to an array of
-values (a constant is broadcast).  :func:`expectation` calls ``g`` once per
-quadrature cell on that cell's 21 nodes, or once on all atoms of a discrete
-law.  :func:`quad_checked` integrates on ``[lo, hi]`` (with ``hi`` possibly
+values (a constant is broadcast), and its value at a point must not depend
+on the other points of the array.  :func:`expectation` runs its bisection
+one level at a time and calls ``g`` on a 1-D array holding the 21 nodes of
+each of up to 8 cells, or once on all atoms of a discrete law.
+:func:`quad_checked` integrates on ``[lo, hi]`` (with ``hi`` possibly
 infinite) for the oracles in ``limits`` and ``spatial``: composite 21-node
 Gauss-Legendre panels that start at the caller's breakpoints, refined by
 halving, every level in one call of the integrand.  Given arrays of bounds
 it integrates all rows in one batch, each row exactly as a call of its own.
-Only numpy is needed at run time.
+Only numpy is needed at run time, and the 21-node rule is written out, so
+``numpy.polynomial`` is never imported.
 """
 
 from __future__ import annotations
@@ -294,36 +297,41 @@ def expectation(dist: WeightDistribution, g, *, limit: int = 256) -> float:
     Discrete kinds sum atoms exactly.  Continuous kinds integrate
     ``g(quantile(u))`` over ``u in (0, 1)`` with adaptive bisection
     quadrature; ``limit`` scales the refinement budget.  ``g`` is
-    elementwise: it maps an array of weights (one quadrature cell's nodes,
-    or all atoms of a discrete law) to an array of values of the same shape,
-    or to a constant, and must be finite wherever the law has mass.
+    elementwise: it maps a 1-D array of weights (the nodes of up to
+    ``_CELLS_PER_CALL`` quadrature cells, 21 per cell, or all atoms of a
+    discrete law) to an array of values of the same shape, or to a constant,
+    and must be finite wherever the law has mass.
     """
     if dist.is_discrete:
         xs = np.array([x for x, _ in dist.atoms()])
         ps = np.array([p for _, p in dist.atoms()])
         return math.fsum((ps * _values_at(g, xs, "atom x")).tolist())
 
-    def cell(a, b):
+    def cells(a, b):
         # Nodes above u = 1/2 take their quantile from v = 1 - u, which is
         # computed without rounding, so no node lands on u = 1 (where an
         # unbounded support has an infinite quantile) and finite tail
         # moments stay finite.
         half = 0.5 * (b - a)
-        u = a + half * (_GL_NODES + 1.0)
-        v = (1.0 - b) + half * (1.0 - _GL_NODES)
+        u = a[:, None] + half[:, None] * (_GL_NODES + 1.0)
+        v = (1.0 - b)[:, None] + half[:, None] * (1.0 - _GL_NODES)
         xs = np.where(u <= 0.5, dist._ppf(np.minimum(u, 0.5)), dist._isf(v))
-        return half * math.fsum((_GL_WEIGHTS * _values_at(g, xs, "x")).tolist())
+        sums = []
+        for i in range(0, len(xs), _CELLS_PER_CALL):
+            block = xs[i:i + _CELLS_PER_CALL]
+            vals = _values_at(g, block.ravel(), "x").reshape(block.shape)
+            sums += [math.fsum(row) for row in (_GL_WEIGHTS * vals).tolist()]
+        return half * np.array(sums)
 
     # Two full adaptive passes over incommensurate seed partitions.  A jump
     # of g can hide only in the node-free sliver beside a persistent cell
     # edge of one partition; the edges of the other partition fall elsewhere,
     # so agreement certifies the value.
     budget = 64 * limit
-    first = _adaptive_unit_integral(cell, 8, budget=budget)
-    second = _adaptive_unit_integral(cell, 7, budget=budget)
+    first, second = _adaptive_unit_integrals(cells, (8, 7), budget=budget)
     if abs(first - second) <= 5e-9 * max(1.0, abs(first)):
         return 0.5 * (first + second)
-    third = _adaptive_unit_integral(cell, 11, budget=budget)
+    (third,) = _adaptive_unit_integrals(cells, (11,), budget=budget)
     candidates = sorted([first, second, third])
     if candidates[1] - candidates[0] <= candidates[2] - candidates[1]:
         close = (candidates[0], candidates[1])
@@ -334,43 +342,79 @@ def expectation(dist: WeightDistribution, g, *, limit: int = 256) -> float:
     raise NumericError("quadrature passes disagree; integrand too irregular")
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(21)
+# The 21-point Gauss-Legendre rule on [-1, 1], as numpy.polynomial's
+# leggauss(21) gives it, written out so that neither that module nor the
+# eigenvalue solve behind it runs at import.
+_GL_NODES = np.array([
+    -0.9937521706203895, -0.9672268385663063, -0.9200993341504008,
+    -0.8533633645833173, -0.7684399634756779, -0.6671388041974123,
+    -0.5516188358872198, -0.4243421202074388, -0.2880213168024011,
+    -0.1455618541608951, 0.0, 0.1455618541608951,
+    0.2880213168024011, 0.4243421202074388, 0.5516188358872198,
+    0.6671388041974123, 0.7684399634756779, 0.8533633645833173,
+    0.9200993341504008, 0.9672268385663063, 0.9937521706203895,
+])
+_GL_WEIGHTS = np.array([
+    0.01601722825777436, 0.03695378977085188, 0.05713442542685717,
+    0.07610011362837911, 0.09344442345603395, 0.1087972991671484,
+    0.12183141605372864, 0.13226893863333763, 0.1398873947910734,
+    0.14452440398997027, 0.1460811336496907, 0.14452440398997027,
+    0.1398873947910734, 0.13226893863333763, 0.12183141605372864,
+    0.1087972991671484, 0.09344442345603395, 0.07610011362837911,
+    0.05713442542685717, 0.03695378977085188, 0.01601722825777436,
+])
+
+# Cells whose nodes go to one call of an expectation's integrand.  It bounds
+# the memory of integrands that run a batched quadrature per node.
+_CELLS_PER_CALL = 8
 
 
-def _adaptive_unit_integral(
-    cell, n_seeds: int, abstol: float = 1e-10, budget: int = 16384
-) -> float:
-    """Adaptive bisection quadrature on (0, 1) without extrapolation.
+def _adaptive_unit_integrals(
+    cells, seed_counts, abstol: float = 1e-10, budget: int = 16384
+) -> list[float]:
+    """Adaptive bisection quadrature on (0, 1) without extrapolation, one
+    pass per entry of ``seed_counts`` (its number of equal seed cells).
 
-    ``cell(a, b)`` is the Gauss-Legendre value of the integrand on [a, b].
-    Extrapolating integrators can lock onto a confidently wrong value at an
-    interior jump; plain interval halving cannot.  A cell is accepted only
-    when its value agrees with the sum over its halves within a
-    width-proportional tolerance, so a visible jump keeps its cell splitting
-    until the width (hence the possible error) is negligible.
+    ``cells(a, b)`` is the array of Gauss-Legendre values of the integrand
+    on the cells [a[i], b[i]].  Extrapolating integrators can lock onto a
+    confidently wrong value at an interior jump; plain interval halving
+    cannot.  A cell is accepted only when its value agrees with the sum over
+    its halves within a width-proportional tolerance, so a visible jump
+    keeps its cell splitting until the width (hence the possible error) is
+    negligible.  The passes run level by level: each level evaluates the
+    halves of every open cell of every pass together.  A pass that still
+    has cells to split after evaluating more than ``budget`` cells raises.
+    Each pass returns the ``fsum`` of its accepted cells, which does not
+    depend on the order they were accepted in.
     """
-    seeds = [(i / n_seeds, (i + 1) / n_seeds) for i in range(n_seeds)]
-    stack = [(a, b, cell(a, b)) for a, b in seeds]
-    accepted: list[float] = []
-    used = len(stack)
-    while stack:
-        a, b, whole = stack.pop()
+    a = np.concatenate([np.arange(k) / k for k in seed_counts])
+    b = np.concatenate([np.arange(1, k + 1) / k for k in seed_counts])
+    owner = np.repeat(np.arange(len(seed_counts)), seed_counts)
+    whole = cells(a, b)
+    used = np.array(seed_counts)
+    accepted: list[list[float]] = [[] for _ in seed_counts]
+    while a.size:
+        n = a.size
         mid = 0.5 * (a + b)
-        left = cell(a, mid)
-        right = cell(mid, b)
-        used += 2
-        if abs(whole - (left + right)) <= max(abstol * (b - a), 1e-16) or (
-            b - a
-        ) <= 1e-14:
-            accepted.append(left + right)
-            continue
-        if used > budget:
+        halves = cells(np.concatenate([a, mid]), np.concatenate([mid, b]))
+        left, right = halves[:n], halves[n:]
+        used += 2 * np.bincount(owner, minlength=len(seed_counts))
+        total = left + right
+        done = (np.abs(whole - total) <= np.maximum(abstol * (b - a), 1e-16)) | (
+            b - a <= 1e-14
+        )
+        for p, kept in enumerate(accepted):
+            kept += total[done & (owner == p)].tolist()
+        split = ~done
+        if (used[owner[split]] > budget).any():
             raise NumericError(
                 f"adaptive quadrature exceeded its budget of {budget} panels"
             )
-        stack.append((a, mid, left))
-        stack.append((mid, b, right))
-    return math.fsum(accepted)
+        a = np.concatenate([a[split], mid[split]])
+        b = np.concatenate([mid[split], b[split]])
+        whole = np.concatenate([left[split], right[split]])
+        owner = np.concatenate([owner[split], owner[split]])
+    return [math.fsum(kept) for kept in accepted]
 
 
 # Panels close at this error, relative to the integral of |f| and shared out

@@ -2,20 +2,22 @@
 
 Vertices ``i != j`` are adjacent iff ``weights[i] + weights[j] > theta``
 (strict; a sum exactly at the threshold is no edge).  No adjacency matrix is
-ever materialized: every statistic runs off the sorted weights.
+ever materialized: every statistic runs off the ascending copy of the
+weights (a plain sort; no permutation is kept).
 
 Counting identities used below, with weights sorted ascending
-``w[0] <= ... <= w[n-1]`` and ``first[j]`` the first position p with
-``w[p] + w[j] > theta`` (a binary search, repaired where the rounding of
-``theta - w[j]`` crosses a weight, so the sum rule holds exactly):
+``w[0] <= ... <= w[n-1]`` and ``first(x)`` the first position p with
+``w[p] + x > theta`` (a binary search, repaired where the rounding of
+``theta - x`` crosses a weight, so the sum rule holds exactly):
 
-* degree: ``D(j) = n - first[j] - [j >= first[j]]``, the correction removing
-  the self pairing;
+* degree of a vertex of weight x: ``D = n - first(x) - [x + x > theta]``,
+  the correction removing the self pairing;
 * triangles: a triple is a triangle iff its two smallest weights already sum
-  above theta, so ``T = sum over b of max(0, b - first[b]) * (n - 1 - b)``
-  (the light partners a of b, times the third vertex after ``b``);
+  above theta, so ``T = sum over b of max(0, b - first(w[b])) * (n - 1 - b)``
+  (the light partners a of b, times the third vertex after ``b``), summed
+  over blocks of positions so that no temporary is n long;
 * local triangles of a vertex: the same pair count ``sum over b of
-  max(0, b - first[b])`` taken over the sorted weights of its neighbours.
+  max(0, b - first(w[b]))`` taken over the sorted weights of its neighbours.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from .errors import CapacityError, DomainError
 from .stats import register_experiment
 
 EDGE_LIST_CAP = 1_000_000
+# Sorted positions per block of count_triangles: bounds its temporaries.
+_TRIANGLE_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -39,20 +43,17 @@ class GraphSample:
     n: int
     theta: float
     weights: np.ndarray
-    order: np.ndarray = field(repr=False)  # argsort of weights, stable
-    sorted_weights: np.ndarray = field(repr=False)
+    sorted_weights: np.ndarray = field(repr=False)  # ascending copy of weights
 
     @classmethod
     def from_weights(cls, weights, theta: float) -> "GraphSample":
         w = np.asarray(weights, dtype=float).copy()
         if w.ndim != 1 or w.size < 1:
             raise DomainError("weights must be a nonempty 1-D sequence")
-        order = np.argsort(w, kind="stable")
-        sw = w[order]
-        for arr in (w, order, sw):
+        sw = np.sort(w)
+        for arr in (w, sw):
             arr.flags.writeable = False
-        return cls(n=int(w.size), theta=float(theta), weights=w, order=order,
-                   sorted_weights=sw)
+        return cls(n=int(w.size), theta=float(theta), weights=w, sorted_weights=sw)
 
 
 def sample_graph(
@@ -66,11 +67,8 @@ def sample_graph(
 
 def all_degrees(g: GraphSample) -> np.ndarray:
     """Degree of every vertex, O(n log n) total."""
-    first = _first_adjacent(g.sorted_weights, g.theta)
-    position = np.arange(g.n)
-    degrees = np.empty(g.n, dtype=np.int64)
-    degrees[g.order] = g.n - first - (position >= first)
-    return degrees
+    w = g.weights
+    return g.n - _first_adjacent(g.sorted_weights, g.theta, w) - (w + w > g.theta)
 
 
 def edge_count(g: GraphSample) -> int:
@@ -90,25 +88,27 @@ def edge_list(g: GraphSample, cap: int = EDGE_LIST_CAP) -> list[tuple[int, int]]
     return pairs
 
 
-def _first_adjacent(sw: np.ndarray, theta: float) -> np.ndarray:
-    """For each position j of the ascending weights ``sw``, the first
-    position p with ``sw[p] + sw[j] > theta``.
+def _first_adjacent(sw: np.ndarray, theta: float, q: np.ndarray | None = None) -> np.ndarray:
+    """For each query weight x of ``q`` (default: ``sw`` itself), the first
+    position p of the ascending weights ``sw`` with ``sw[p] + x > theta``.
 
-    A binary search for ``theta - w`` can land off the sum rule where the
-    rounding of ``theta - w`` crosses a weight; such positions are moved past
+    A binary search for ``theta - x`` can land off the sum rule where the
+    rounding of ``theta - x`` crosses a weight; such positions are moved past
     whole runs of tied weights until the rule holds on both sides.
     """
+    if q is None:
+        q = sw
     n = sw.size
-    first = np.searchsorted(sw, theta - sw, side="right")
+    first = np.searchsorted(sw, theta - q, side="right")
     below = np.empty_like(first)
-    pair_sum = np.empty_like(sw)  # buffers reused to keep the peak memory low
+    pair_sum = np.empty_like(q)  # buffers reused to keep the peak memory low
     while True:
         np.take(sw, first, mode="clip", out=pair_sum)
-        pair_sum += sw
+        pair_sum += q
         up = (pair_sum <= theta) & (first < n)
         np.subtract(first, 1, out=below)
         np.take(sw, below, mode="clip", out=pair_sum)
-        pair_sum += sw
+        pair_sum += q
         down = (pair_sum > theta) & (below >= 0)
         if not (up.any() or down.any()):
             return first
@@ -122,17 +122,22 @@ def count_triangles(g: GraphSample) -> int:
     For each sorted position b, every position a < b with
     ``w[a] + w[b] > theta`` closes a triangle with each of the ``n - 1 - b``
     heavier vertices, because the pair (a, b) is then the light pair of the
-    triple.
+    triple.  Positions are taken in blocks of ``_TRIANGLE_BLOCK``, so every
+    temporary is block-sized.
     """
-    n = g.n
-    terms = _first_adjacent(g.sorted_weights, g.theta)
-    b = np.arange(n, dtype=np.int64)
-    np.subtract(b, terms, out=terms)  # light partners of each b, in place
-    np.maximum(terms, 0, out=terms)
-    terms *= np.subtract(n - 1, b, out=b)
+    n, sw = g.n, g.sorted_weights
     # each term is below n**2, so a chunk of 2**63 // n**2 terms cannot wrap
     step = max(1, 2**63 // (n * n))
-    return sum(int(terms[i:i + step].sum()) for i in range(0, n, step))
+    total = 0
+    for s in range(0, n, _TRIANGLE_BLOCK):
+        e = min(n, s + _TRIANGLE_BLOCK)
+        terms = _first_adjacent(sw, g.theta, sw[s:e])
+        b = np.arange(s, e, dtype=np.int64)
+        np.subtract(b, terms, out=terms)  # light partners of each b, in place
+        np.maximum(terms, 0, out=terms)
+        terms *= np.subtract(n - 1, b, out=b)
+        total += sum(int(terms[i:i + step].sum()) for i in range(0, e - s, step))
+    return total
 
 
 def count_local_triangles(g: GraphSample, vertex: int) -> int:
@@ -169,6 +174,15 @@ def tagged_pair_degrees(
     return d1, d2, bool(w[n] + w[n + 1] > theta)
 
 
+def check_vertex_count(n, minimum: int, what: str) -> int:
+    """``n`` as an int, or a DomainError naming the least n that ``what``
+    is defined for."""
+    n = int(n)
+    if n < minimum:
+        raise DomainError(f"{what} needs n >= {minimum}, got n = {n}")
+    return n
+
+
 # ---------------------------------------------------------------------------
 # registered experiments
 
@@ -177,7 +191,7 @@ def tagged_pair_degrees(
 def _degree_experiment(params: dict, stream: np.random.Generator) -> float:
     """D_n(1)/n for one fresh graph on n vertices."""
     dist = parse_dist(params["dist"])
-    n = int(params["n"])
+    n = check_vertex_count(params["n"], 1, "the degree fraction")
     theta = float(params["theta"])
     w = dist.sample(stream, n)
     d = int(np.count_nonzero(w[1:] + w[0] > theta))
@@ -197,7 +211,7 @@ def _pair_experiment(params: dict, stream: np.random.Generator):
 def _triangle_experiment(params: dict, stream: np.random.Generator) -> float:
     """T_n / C(n,3) for one fresh graph."""
     dist = parse_dist(params["dist"])
-    n = int(params["n"])
+    n = check_vertex_count(params["n"], 3, "the triangle density")
     theta = float(params["theta"])
     g = sample_graph(dist, n, theta, stream)
     return count_triangles(g) / math.comb(n, 3)
@@ -207,7 +221,7 @@ def _triangle_experiment(params: dict, stream: np.random.Generator) -> float:
 def _local_triangle_experiment(params: dict, stream: np.random.Generator) -> float:
     """Triangles at vertex 1 among n+1 vertices, normalized by C(n,2)."""
     dist = parse_dist(params["dist"])
-    n = int(params["n"])
+    n = check_vertex_count(params["n"], 2, "the local triangle density")
     theta = float(params["theta"])
     g = sample_graph(dist, n + 1, theta, stream)
     return count_local_triangles(g, 1) / math.comb(n, 2)

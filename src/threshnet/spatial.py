@@ -11,7 +11,9 @@ the radius.
 
 Only the radial coordinate of a point ever enters the connection rule, so
 the direct sampler draws radii (``r * U**(1/d)``) and never materializes
-directions.
+directions.  It turns the radius draws into their cutoffs
+``theta * radius**beta`` and the weight draws into their sums with the
+origin weight in place, so each replicate holds two arrays of points.
 """
 
 from __future__ import annotations
@@ -157,9 +159,15 @@ def sample_origin_degree_direct(
         )
     origin_weight = float(x0) if x0 is not None else dist.sample(stream)
     count = int(stream.poisson(expected_points))
-    radii = cfg.r * stream.random(count) ** (1.0 / cfg.d)
-    weights = dist.sample(stream, count)
-    return int(np.count_nonzero(origin_weight + weights > cfg.theta * radii**cfg.beta))
+    # cutoffs theta * (r * U**(1/d))**beta and weight sums, both in place
+    cutoff = stream.random(count)
+    cutoff **= 1.0 / cfg.d
+    cutoff *= cfg.r
+    cutoff **= cfg.beta
+    cutoff *= cfg.theta
+    sums = dist.sample(stream, count)
+    sums += origin_weight
+    return int(np.count_nonzero(sums > cutoff))
 
 
 def sample_origin_degree_mixture(

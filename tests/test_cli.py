@@ -204,7 +204,27 @@ def test_import_does_not_load_scipy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     code = ("import sys, threshnet.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+            "or m.startswith('numpy.polynomial')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("args, minimum", [
+    (["degree", "--n", "0", "--R", "3"], "n >= 1"),
+    (["local", "--n", "0", "--R", "3"], "n >= 2"),
+    (["local", "--n", "1", "--R", "3"], "n >= 2"),
+    (["triangles", "--n", "1"], "n >= 3"),
+    (["triangles", "--n", "2"], "n >= 3"),
+    (["local", "--n", "10", "--R", "3", "--config", "{cfg}"], "grid >= 1"),
+])
+def test_small_inputs_name_their_minimum(tmp_path, capsys, args, minimum):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": 0}))
+    out = tmp_path / "x.json"
+    argv = [a.format(cfg=cfg) for a in args]
+    code = run(argv + ["--dist", "uniform:0,1", "--theta", "1", "--out", str(out)])
+    assert code == 2
+    assert minimum in capsys.readouterr().err
+    assert not out.exists()

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from threshnet import dist
+from threshnet import dist, limits, spatial
 from threshnet.errors import DomainError, NumericError
 from threshnet.stats import ks_statistic, make_stream
 
@@ -236,13 +236,110 @@ def test_expectation_calls_g_on_node_arrays():
         return x
 
     dist.expectation(dist.uniform(0, 1), g)
-    assert set(shapes) == {(21,)}
+    cells = sum(shape[0] for shape in shapes) // 21
+    assert all(len(shape) == 1 and 0 < shape[0] <= 168 and shape[0] % 21 == 0
+               for shape in shapes)
+    assert len(shapes) < cells
     shapes.clear()
     law = dist.finite_discrete([(0.1, 0.25), (0.5, 0.5), (1.1, 0.25)])
     assert dist.expectation(law, g) == pytest.approx(0.55, abs=1e-15)
     assert shapes == [(3,)]
     with pytest.raises(NumericError, match="atom x=0.5"):
         dist.expectation(law, lambda x: np.where(x == 0.5, np.nan, x))
+
+
+def test_gauss_legendre_literals():
+    nodes, weights = np.polynomial.legendre.leggauss(21)
+    assert dist._GL_NODES.tolist() == nodes.tolist()
+    assert dist._GL_WEIGHTS.tolist() == weights.tolist()
+
+
+def test_expectation_exhausted_budget():
+    with pytest.raises(NumericError, match="exceeded its budget of 64 panels"):
+        dist.expectation(dist.uniform(0, 1), lambda x: np.sin(1e5 * x), limit=1)
+
+
+def test_expectation_passes_disagree():
+    # x**-0.9 is integrable, but its mass below the 1e-14 cell floor is 4%
+    # of the total; each seed partition stops at its own floor width and
+    # lands on its own value
+    with pytest.raises(NumericError, match="passes disagree"):
+        dist.expectation(dist.uniform(0, 1), lambda x: x**-0.9)
+
+
+# ---------------------------------------------------------------------------
+# level-synchronous expectation against the depth-first reference
+
+
+def _reference_expectation(law, g, limit=256):
+    """``expectation`` as it ran depth first, one 21-node cell per call of
+    ``g``, kept as the reference the level-synchronous passes must equal."""
+    if law.is_discrete:
+        return dist.expectation(law, g, limit=limit)
+    nodes, weights = np.polynomial.legendre.leggauss(21)
+
+    def cell(a, b):
+        half = 0.5 * (b - a)
+        u = a + half * (nodes + 1.0)
+        v = (1.0 - b) + half * (1.0 - nodes)
+        xs = np.where(u <= 0.5, law._ppf(np.minimum(u, 0.5)), law._isf(v))
+        vals = np.broadcast_to(np.asarray(g(xs), dtype=float), xs.shape)
+        assert np.isfinite(vals).all()
+        return half * math.fsum((weights * vals).tolist())
+
+    def adaptive_unit_integral(n_seeds, abstol=1e-10, budget=16384):
+        seeds = [(i / n_seeds, (i + 1) / n_seeds) for i in range(n_seeds)]
+        stack = [(a, b, cell(a, b)) for a, b in seeds]
+        accepted = []
+        used = len(stack)
+        while stack:
+            a, b, whole = stack.pop()
+            mid = 0.5 * (a + b)
+            left = cell(a, mid)
+            right = cell(mid, b)
+            used += 2
+            if abs(whole - (left + right)) <= max(abstol * (b - a), 1e-16) or (
+                b - a
+            ) <= 1e-14:
+                accepted.append(left + right)
+                continue
+            assert used <= budget
+            stack.append((a, mid, left))
+            stack.append((mid, b, right))
+        return math.fsum(accepted)
+
+    first = adaptive_unit_integral(8, budget=64 * limit)
+    second = adaptive_unit_integral(7, budget=64 * limit)
+    if abs(first - second) <= 5e-9 * max(1.0, abs(first)):
+        return 0.5 * (first + second)
+    third = adaptive_unit_integral(11, budget=64 * limit)
+    candidates = sorted([first, second, third])
+    if candidates[1] - candidates[0] <= candidates[2] - candidates[1]:
+        close = (candidates[0], candidates[1])
+    else:
+        close = (candidates[1], candidates[2])
+    assert abs(close[0] - close[1]) <= 5e-9 * max(1.0, abs(close[1]))
+    return 0.5 * (close[0] + close[1])
+
+
+_SPATIAL = spatial.SpatialConfig(d=2, beta=2.0, theta=1.0, lam=1.0, r=3.0)
+_INTEGRANDS = {
+    "x": lambda law: lambda x: x,
+    "x2": lambda law: lambda x: x * x,
+    "indicator": lambda law: lambda x: np.where(x > 0.6, 1.0, 0.0),
+    "triangle-h1": lambda law: lambda x: limits.conditional_triangle_probability(
+        limits.LimitConfig(law, 1.0), x),
+    "radial": lambda law: lambda x: spatial.radial_intensity(_SPATIAL, law, x),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INTEGRANDS))
+@pytest.mark.parametrize("law", ALL_KINDS, ids=lambda d: d.kind)
+def test_expectation_equals_depth_first_reference(law, name):
+    if name in ("x", "x2") and law.kind == "pareto":
+        law = dist.pareto(1.0, 8.0)  # pareto(1, 1) has no finite mean
+    g = _INTEGRANDS[name](law)
+    assert dist.expectation(law, g) == _reference_expectation(law, g)
 
 
 # ---------------------------------------------------------------------------

@@ -77,9 +77,8 @@ def test_generate_determinism():
 
 def test_sorted_view_invariants():
     g = graph.sample_graph(dist.uniform(0, 1), 100, 1.0, make_stream(1))
-    assert sorted(g.order.tolist()) == list(range(100))
-    assert np.all(np.diff(g.sorted_weights) >= 0)
-    assert np.array_equal(g.weights[g.order], g.sorted_weights)
+    assert np.array_equal(g.sorted_weights, np.sort(g.weights))
+    assert not g.weights.flags.writeable and not g.sorted_weights.flags.writeable
 
 
 def test_edge_list_example():
@@ -108,6 +107,18 @@ def test_triangles_follow_the_sum_rule_under_rounding():
         brute = sum({(a, b), (a, c), (b, c)} <= edges
                     for a, b, c in itertools.combinations(range(1, g.n + 1), 3))
         assert graph.count_triangles(g) == brute
+
+
+@pytest.mark.parametrize("light, heavy", [(0.4, 0.7), (0.1, 0.9), (5e-324, 1.0)])
+def test_triangles_across_blocks_closed_form(light, heavy):
+    # heavy vertices form a clique; a light one joins a heavy pair iff
+    # light + heavy > 1, which rounding must not fake (0.1 + 0.9 == 1)
+    n = 300_000
+    w = dist.two_point(light, 0.5, heavy).sample(make_stream(12), n)
+    h = int(np.count_nonzero(w == heavy))
+    expected = math.comb(h, 3) + (math.comb(h, 2) * (n - h) if light + heavy > 1.0 else 0)
+    assert n > 4 * graph._TRIANGLE_BLOCK
+    assert graph.count_triangles(graph.GraphSample.from_weights(w, 1.0)) == expected
 
 
 def test_triangle_count_exact_beyond_int64():

@@ -142,6 +142,28 @@ def test_direct_sampler_trivial_regimes():
     assert abs(np.mean(draws) - ev) < 3 * se
 
 
+def _direct_out_of_place(cfg, law, x0, stream):
+    # the direct sampler as first written, one temporary per operation
+    origin_weight = float(x0) if x0 is not None else law.sample(stream)
+    count = int(stream.poisson(cfg.lam * spatial.ball_volume(cfg.d, cfg.r)))
+    radii = cfg.r * stream.random(count) ** (1.0 / cfg.d)
+    weights = law.sample(stream, count)
+    return int(np.count_nonzero(origin_weight + weights > cfg.theta * radii**cfg.beta))
+
+
+@pytest.mark.parametrize("x0", [None, 0.35])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.5])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_direct_sampler_in_place_equals_out_of_place(d, beta, x0):
+    cfg = spatial.SpatialConfig(d=d, beta=beta, theta=1.0, lam=2.0, r=4.0)
+    for law in (UNI, dist.exponential(1.0), dist.pareto(1.0, 3.0),
+                dist.two_point(0.2, 0.5, 0.9)):
+        fast, slow = make_stream(d * 31 + 7), make_stream(d * 31 + 7)
+        for _ in range(3):
+            assert spatial.sample_origin_degree_direct(cfg, law, x0, fast) == \
+                _direct_out_of_place(cfg, law, x0, slow)
+
+
 def test_direct_sampler_capacity():
     big = spatial.SpatialConfig(d=3, beta=1.0, theta=1.0, lam=1.0, r=1e4)
     with pytest.raises(CapacityError):
