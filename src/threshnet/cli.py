@@ -2,10 +2,12 @@
 
 Subcommands: degree, pair, triangles, motif, local, limits, spatial,
 clt-check.  Flags override keys of an optional flat-JSON config file.  Exit
-codes: 0 success, 1 usage error, 2 numeric/capacity error.  Identical
-invocations with identical seeds reproduce identical output bytes.  Reports
-are JSON; sample-bearing commands also emit plot-ready ECDF and histogram
-CSV tables next to the report.
+codes: 0 success, 1 usage error, 2 numeric/capacity error or a size below its
+minimum.  Identical invocations with identical seeds reproduce identical
+output bytes.  Each report goes to --out, or to stdout without it: JSON, or
+CSV for the limits tables and, with --format csv and --out, for the samples.
+Commands with one sample per replicate also write plot-ready ECDF and
+histogram CSV tables next to an --out report.
 """
 
 from __future__ import annotations
@@ -39,54 +41,42 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="threshnet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    head = (("--config", {"help": "flat JSON config file; flags override"}),
+            ("--dist", {"help": "weight law spec, e.g. uniform:0,1"}),
+            ("--theta", {"type": float, "help": "edge threshold"}))
+    tail = (("--seed", {"type": int, "help": "master seed (default 0)"}),
+            ("--out", {"help": "report output path"}),
+            ("--format", {"choices": ("json", "csv"), "dest": "fmt",
+                          "help": "report format (default json)"}))
+    n = ("--n", {"type": int, "help": "vertex count"})
+    r = ("--R", {"type": int, "help": "replicate count"})
+    space = (("--d", {"type": int, "help": "dimension (1, 2 or 3)"}),
+             ("--beta", {"type": float, "help": "distance exponent"}),
+             ("--lambda", {"type": float, "dest": "lam", "help": "Poisson intensity"}),
+             ("--r", {"type": float, "help": "ball radius"}))
 
-    def common(p, with_n=True, with_r=True):
-        p.add_argument("--config", help="flat JSON config file; flags override")
-        p.add_argument("--dist", help="weight law spec, e.g. uniform:0,1")
-        p.add_argument("--theta", type=float, help="edge threshold")
-        if with_n:
-            p.add_argument("--n", type=int, help="vertex count")
-        if with_r:
-            p.add_argument("--R", type=int, help="replicate count")
-        p.add_argument("--seed", type=int, help="master seed (default 0)")
-        p.add_argument("--out", help="report output path")
-        p.add_argument("--format", choices=("json", "csv"), dest="fmt",
-                       help="report format (default json)")
+    def command(name, help, *flags):
+        p = sub.add_parser(name, help=help)
+        for flag, kwargs in head + flags + tail:
+            p.add_argument(flag, **kwargs)
 
-    common(sub.add_parser("degree", help="degree-fraction samples vs the limit law"))
-    common(sub.add_parser("pair", help="tagged-pair degree correlation experiment"))
-    common(sub.add_parser("triangles", help="one-shot triangle census"), with_r=False)
-
-    p = sub.add_parser("motif", help="exact motif census")
-    common(p, with_r=False)
-    p.add_argument("--motif", dest="motif", help="motif spec, e.g. k=4;edges=1-2,2-3,3-4,4-1")
-    p.add_argument("--density-samples", type=int, dest="density_samples",
-                   help="also estimate the motif probability by Monte Carlo")
-
-    common(sub.add_parser("local", help="local triangle-density samples"))
-
-    p = sub.add_parser("limits", help="closed-form limit tables and summaries")
-    common(p, with_r=False)
-    p.add_argument("--table", choices=("degree-pmf", "summary", "limit-cdf", "h1"),
-                   help="which table to emit")
-    p.add_argument("--grid", type=int, help="grid size for cdf/h1 tables")
-
-    p = sub.add_parser("spatial", help="spatial origin-degree experiment")
-    common(p, with_n=False)
-    p.add_argument("--mode", choices=("direct", "mixture"), help="sampler")
-    p.add_argument("--d", type=int, help="dimension (1, 2 or 3)")
-    p.add_argument("--beta", type=float, help="distance exponent")
-    p.add_argument("--lambda", type=float, dest="lam", help="Poisson intensity")
-    p.add_argument("--r", type=float, help="ball radius")
-    p.add_argument("--x0", type=float, help="fix the origin weight")
-
-    p = sub.add_parser("clt-check", help="standardized spatial degree samples vs normal")
-    common(p, with_n=False)
-    p.add_argument("--d", type=int, help="dimension (1, 2 or 3)")
-    p.add_argument("--beta", type=float, help="distance exponent")
-    p.add_argument("--lambda", type=float, dest="lam", help="Poisson intensity")
-    p.add_argument("--r", type=float, help="ball radius")
-    p.add_argument("--Cr", type=float, dest="Cr", help="centering sequence value")
+    command("degree", "degree-fraction samples vs the limit law", n, r)
+    command("pair", "tagged-pair degree correlation experiment", n, r)
+    command("triangles", "one-shot triangle census", n)
+    command("motif", "exact motif census", n,
+            ("--motif", {"help": "motif spec, e.g. k=4;edges=1-2,2-3,3-4,4-1"}),
+            ("--density-samples", {
+                "type": int, "help": "also estimate the motif probability by Monte Carlo"}))
+    command("local", "local triangle-density samples", n, r)
+    command("limits", "closed-form limit tables and summaries", n,
+            ("--table", {"choices": ("degree-pmf", "summary", "limit-cdf", "h1"),
+                         "help": "which table to emit"}),
+            ("--grid", {"type": int, "help": "grid size for cdf/h1 tables"}))
+    command("spatial", "spatial origin-degree experiment", r,
+            ("--mode", {"choices": ("direct", "mixture"), "help": "sampler"}), *space,
+            ("--x0", {"type": float, "help": "fix the origin weight"}))
+    command("clt-check", "standardized spatial degree samples vs normal", r, *space,
+            ("--Cr", {"type": float, "help": "centering sequence value"}))
     return parser
 
 
@@ -120,75 +110,86 @@ def _require(cfg: dict, *keys: str) -> None:
         raise UsageError(f"missing required option(s): {', '.join('--' + m for m in missing)}")
 
 
-def _parse_dist_arg(spec: str):
+def _parse(parse_fn, spec: str):
+    """A malformed spec from the command line is a usage error."""
     try:
-        return parse_dist(spec)
-    except DomainError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _parse_motif_arg(spec: str):
-    try:
-        return motifs.parse_motif(spec)
+        return parse_fn(spec)
     except (DomainError, CapacityError) as exc:
         raise UsageError(str(exc)) from exc
 
 
-def _json_bytes(obj) -> bytes:
-    return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8")
+def _check_grid(grid, what: str) -> int:
+    """``grid`` as an int, or a DomainError naming the least grid size."""
+    grid = int(grid)
+    if grid < 1:
+        raise DomainError(f"{what} needs grid >= 1, got grid = {grid}")
+    return grid
 
 
-def _write_report(cfg: dict, payload: dict, samples: np.ndarray | None,
-                  columns=None) -> None:
-    out = cfg.get("out")
+def _write(out, text: str) -> None:
     if out is None:
-        sys.stdout.write(_json_bytes(payload).decode("utf-8"))
-        return
-    path = Path(out)
-    if cfg.get("fmt", "json") == "csv" and samples is not None:
-        _write_samples_csv(path, samples, columns)
-    else:
-        path.write_bytes(_json_bytes(payload))
-    if samples is not None and samples.ndim == 1:
-        _write_ecdf_csv(path.with_name(path.stem + "_ecdf.csv"), samples)
-        _write_hist_csv(path.with_name(path.stem + "_hist.csv"), samples)
-
-
-def _write_samples_csv(path: Path, samples: np.ndarray, columns=None) -> None:
-    header = ",".join(columns) if columns else "value"
-    lines = [header]
-    if samples.ndim == 1:
-        lines.extend(repr(float(v)) for v in samples)
-    else:
-        lines.extend(",".join(repr(float(v)) for v in row) for row in samples)
-    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
-
-
-def _write_ecdf_csv(path: Path, samples: np.ndarray) -> None:
-    xs = np.sort(samples)
-    n = xs.size
-    lines = ["value,ecdf"]
-    lines.extend(f"{float(x)!r},{(i + 1) / n!r}" for i, x in enumerate(xs))
-    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
-
-
-def _write_hist_csv(path: Path, samples: np.ndarray) -> None:
-    counts, edges = np.histogram(samples, bins=min(50, max(5, samples.size // 20)))
-    lines = ["bin_left,bin_right,count"]
-    lines.extend(
-        f"{float(edges[i])!r},{float(edges[i + 1])!r},{int(c)}"
-        for i, c in enumerate(counts)
-    )
-    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
-
-
-def _write_table_csv(path_or_none, header: str, rows) -> None:
-    text = header + "\n" + "".join(",".join(repr(v) if isinstance(v, float) else str(v)
-                                            for v in row) + "\n" for row in rows)
-    if path_or_none is None:
         sys.stdout.write(text)
     else:
-        Path(path_or_none).write_bytes(text.encode("utf-8"))
+        Path(out).write_bytes(text.encode("utf-8"))
+
+
+def _csv(header: str, rows) -> str:
+    """CSV text; ``str`` prints a float as its shortest round-trip repr."""
+    return header + "\n" + "".join(",".join(map(str, row)) + "\n" for row in rows)
+
+
+def _write_report(cfg: dict, payload: dict, samples: np.ndarray | None = None,
+                  columns=None) -> None:
+    """The JSON report, or with ``--format csv`` the raw samples, to ``--out``
+    or stdout; next to an ``--out`` file also the ECDF and histogram of 1-D
+    samples."""
+    out = cfg.get("out")
+    if out is not None and cfg["fmt"] == "csv" and samples is not None:
+        rows = samples.reshape(samples.shape[0], -1).tolist()
+        _write(out, _csv(",".join(columns) if columns else "value", rows))
+    else:
+        _write(out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    if out is None or samples is None or samples.ndim != 1:
+        return
+    path = Path(out)
+    xs = np.sort(samples).tolist()
+    ecdf = [(x, (i + 1) / len(xs)) for i, x in enumerate(xs)]
+    _write(path.with_name(path.stem + "_ecdf.csv"), _csv("value,ecdf", ecdf))
+    counts, edges = np.histogram(samples, bins=min(50, max(5, samples.size // 20)))
+    hist = zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist())
+    _write(path.with_name(path.stem + "_hist.csv"), _csv("bin_left,bin_right,count", hist))
+
+
+def _replicates(cfg: dict, experiment: str, **converters):
+    """The replicate report of ``experiment`` and the oracles' config;
+    ``converters`` maps each further required key to its parameter's type."""
+    _require(cfg, "dist", "theta", *converters, "R")
+    dist = _parse(parse_dist, cfg["dist"])
+    params = {"dist": cfg["dist"], "theta": float(cfg["theta"])}
+    params.update((key, convert(cfg[key])) for key, convert in converters.items())
+    report = stats.run_replicates(experiment, params, int(cfg["R"]), int(cfg["seed"]))
+    return report, limits.LimitConfig(dist, params["theta"])
+
+
+def _ks(report: stats.ReplicateReport, name: str, cdf) -> None:
+    ks = stats.ks_statistic(report.samples, cdf)
+    pvalue = stats.kolmogorov_sf(math.sqrt(report.replicates) * ks)
+    report.gof = {"name": name, "stat": ks, "pvalue": pvalue}
+
+
+def _split_support(lcfg: limits.LimitConfig) -> dict:
+    holds, witness = check_split_support(lcfg.dist, lcfg.theta)
+    return {"split_support": holds,
+            "split_support_witness": list(witness) if witness else None}
+
+
+def _limit_correlation(lcfg: limits.LimitConfig) -> dict:
+    """The limit covariance and correlation given an edge; null if none can occur."""
+    try:
+        cov, corr = limits.edge_conditioned_correlation(lcfg)
+    except DegenerateConditioningError:
+        cov = corr = None
+    return {"limit_cov_given_edge": cov, "limit_corr_given_edge": corr}
 
 
 # ---------------------------------------------------------------------------
@@ -196,41 +197,21 @@ def _write_table_csv(path_or_none, header: str, rows) -> None:
 
 
 def _cmd_degree(cfg: dict) -> None:
-    _require(cfg, "dist", "theta", "n", "R")
-    d = _parse_dist_arg(cfg["dist"])
-    params = {"dist": cfg["dist"], "theta": float(cfg["theta"]), "n": int(cfg["n"])}
-    report = stats.run_replicates("degree", params, int(cfg["R"]), int(cfg["seed"]))
-    lcfg = limits.LimitConfig(d, float(cfg["theta"]))
-    ks = stats.ks_statistic(report.samples, lambda t: limits.limit_degree_cdf(lcfg, t))
-    report.gof = {
-        "name": "ks_vs_limit_degree_cdf",
-        "stat": ks,
-        "pvalue": stats.kolmogorov_sf(math.sqrt(report.replicates) * ks),
-    }
-    _write_report(cfg, report.to_dict(), report.samples)
+    report, lcfg = _replicates(cfg, "degree", n=int)
+    _ks(report, "ks_vs_limit_degree_cdf", lambda t: limits.limit_degree_cdf(lcfg, t))
+    _write_report(cfg, report.to_dict(), report.samples, report.columns)
 
 
 def _cmd_pair(cfg: dict) -> None:
-    _require(cfg, "dist", "theta", "n", "R")
-    d = _parse_dist_arg(cfg["dist"])
-    params = {"dist": cfg["dist"], "theta": float(cfg["theta"]), "n": int(cfg["n"])}
-    report = stats.run_replicates("pair", params, int(cfg["R"]), int(cfg["seed"]))
+    report, lcfg = _replicates(cfg, "pair", n=int)
     d1, d2, edge = report.samples.T
     mask = edge > 0.5
-    lcfg = limits.LimitConfig(d, float(cfg["theta"]))
-    try:
-        cov_limit, corr_limit = limits.edge_conditioned_correlation(lcfg)
-    except DegenerateConditioningError:
-        cov_limit = corr_limit = None
-    holds, witness = check_split_support(lcfg.dist, lcfg.theta)
     report.extras = {
         "corr_unconditional": _corr(d1, d2),
         "corr_given_edge": _corr(d1[mask], d2[mask]) if mask.sum() >= 2 else None,
         "edge_fraction": float(edge.mean()),
-        "limit_cov_given_edge": cov_limit,
-        "limit_corr_given_edge": corr_limit,
-        "split_support": holds,
-        "split_support_witness": list(witness) if witness else None,
+        **_limit_correlation(lcfg),
+        **_split_support(lcfg),
     }
     _write_report(cfg, report.to_dict(), report.samples, report.columns)
 
@@ -243,27 +224,27 @@ def _corr(a: np.ndarray, b: np.ndarray):
 
 def _cmd_triangles(cfg: dict) -> None:
     _require(cfg, "dist", "theta", "n")
-    dist = _parse_dist_arg(cfg["dist"])
+    dist = _parse(parse_dist, cfg["dist"])
     n = graph.check_vertex_count(cfg["n"], 3, "the triangle density")
     theta = float(cfg["theta"])
     g = graph.sample_graph(dist, n, theta, stats.make_stream(int(cfg["seed"])))
     t_count = graph.count_triangles(g)
-    lcfg = limits.LimitConfig(dist, theta)
     payload = {
         "experiment": "triangles",
         "config": {"dist": cfg["dist"], "theta": theta, "n": n},
         "seed": int(cfg["seed"]),
         "triangles": t_count,
         "triangle_density": t_count / math.comb(n, 3),
-        "limit_triangle_probability": limits.triangle_probability(lcfg),
+        "limit_triangle_probability": limits.triangle_probability(
+            limits.LimitConfig(dist, theta)),
     }
-    _write_report(cfg, payload, None)
+    _write_report(cfg, payload)
 
 
 def _cmd_motif(cfg: dict) -> None:
     _require(cfg, "dist", "theta", "n", "motif")
-    dist = _parse_dist_arg(cfg["dist"])
-    motif = _parse_motif_arg(cfg["motif"])
+    dist = _parse(parse_dist, cfg["dist"])
+    motif = _parse(motifs.parse_motif, cfg["motif"])
     n, theta = int(cfg["n"]), float(cfg["theta"])
     stream = stats.make_stream(int(cfg["seed"]))
     g = graph.sample_graph(dist, n, theta, stream)
@@ -282,99 +263,73 @@ def _cmd_motif(cfg: dict) -> None:
             dist, motif, theta, int(cfg["density_samples"]), stream
         )
         payload["motif_probability_mc"] = {"estimate": est, "stderr": se}
-    _write_report(cfg, payload, None)
+    _write_report(cfg, payload)
 
 
 def _cmd_local(cfg: dict) -> None:
-    _require(cfg, "dist", "theta", "n", "R")
-    d = _parse_dist_arg(cfg["dist"])
-    params = {"dist": cfg["dist"], "theta": float(cfg["theta"]), "n": int(cfg["n"])}
-    report = stats.run_replicates("local", params, int(cfg["R"]), int(cfg["seed"]))
-    lcfg = limits.LimitConfig(d, float(cfg["theta"]))
-    ref = local_limit_cdf(lcfg, int(cfg["grid"]))
-    ks = stats.ks_statistic(report.samples, ref)
-    report.gof = {
-        "name": "ks_vs_local_limit",
-        "stat": ks,
-        "pvalue": stats.kolmogorov_sf(math.sqrt(report.replicates) * ks),
-    }
-    _write_report(cfg, report.to_dict(), report.samples)
+    report, lcfg = _replicates(cfg, "local", n=int)
+    _ks(report, "ks_vs_local_limit", local_limit_cdf(lcfg, int(cfg["grid"])))
+    _write_report(cfg, report.to_dict(), report.samples, report.columns)
+
+
+def _quantile_grid(dist, grid: int) -> np.ndarray:
+    """The weights at the midpoints of ``grid`` equal quantile cells."""
+    grid = _check_grid(grid, "the quantile grid")
+    return dist._ppf((np.arange(grid) + 0.5) / grid)
 
 
 def local_limit_cdf(lcfg: limits.LimitConfig, grid: int):
     """CDF of the limiting local triangle density: the conditional triangle
     probability of a random weight, tabulated on a fine quantile grid."""
-    if grid < 1:
-        raise DomainError(f"the quantile grid needs grid >= 1, got grid = {grid}")
-    us = (np.arange(grid) + 0.5) / grid
-    values = np.sort(limits.conditional_triangle_probability(lcfg, lcfg.dist._ppf(us)))
+    values = np.sort(limits.conditional_triangle_probability(
+        lcfg, _quantile_grid(lcfg.dist, grid)))
 
     def cdf(t: float) -> float:
-        return float(np.searchsorted(values, t, side="right")) / grid
+        return float(np.searchsorted(values, t, side="right")) / values.size
 
     return cdf
 
 
 def _cmd_limits(cfg: dict) -> None:
     _require(cfg, "dist", "theta", "table")
-    dist = _parse_dist_arg(cfg["dist"])
-    lcfg = limits.LimitConfig(dist, float(cfg["theta"]))
-    table = cfg["table"]
-    out = cfg.get("out")
+    lcfg = limits.LimitConfig(_parse(parse_dist, cfg["dist"]), float(cfg["theta"]))
+    table, out = cfg["table"], cfg.get("out")
     if table == "degree-pmf":
         _require(cfg, "n")
-        n = int(cfg["n"])
+        n = graph.check_vertex_count(cfg["n"], 0, "the degree-pmf table")
         rows = [(k, limits.degree_pmf(lcfg, n, k)) for k in range(n + 1)]
-        _write_table_csv(out, "k,pmf", rows)
+        _write(out, _csv("k,pmf", rows))
     elif table == "limit-cdf":
-        grid = int(cfg["grid"])
-        ts = np.linspace(0.0, 1.0, grid)
-        rows = [(float(t), limits.limit_degree_cdf(lcfg, float(t))) for t in ts]
-        _write_table_csv(out, "t,cdf", rows)
+        grid = _check_grid(cfg["grid"], "the limit-cdf table")
+        ts = np.linspace(0.0, 1.0, grid).tolist()
+        _write(out, _csv("t,cdf", [(t, limits.limit_degree_cdf(lcfg, t)) for t in ts]))
     elif table == "h1":
-        grid = int(cfg["grid"])
-        xs = dist._ppf((np.arange(grid) + 0.5) / grid)
+        xs = _quantile_grid(lcfg.dist, cfg["grid"])
         h1 = limits.conditional_triangle_probability(lcfg, xs)
-        _write_table_csv(out, "x,h1", zip(xs.tolist(), h1.tolist()))
+        _write(out, _csv("x,h1", zip(xs.tolist(), h1.tolist())))
     else:  # summary
-        holds, witness = check_split_support(dist, lcfg.theta)
-        try:
-            cov, corr = limits.edge_conditioned_correlation(lcfg)
-        except DegenerateConditioningError:
-            cov = corr = None
+        split = _split_support(lcfg)
+        correlation = _limit_correlation(lcfg)
         f3 = limits.triangle_probability(lcfg)
         payload = {
             "config": {"dist": cfg["dist"], "theta": lcfg.theta},
             "edge_probability": limits.edge_probability(lcfg),
             "triangle_probability": f3,
             "triangle_kernel_variance": limits.triangle_kernel_variance(lcfg, f3),
-            "limit_cov_given_edge": cov,
-            "limit_corr_given_edge": corr,
-            "split_support": holds,
-            "split_support_witness": list(witness) if witness else None,
+            **correlation,
+            **split,
         }
-        if out is None:
-            sys.stdout.write(_json_bytes(payload).decode("utf-8"))
-        else:
-            Path(out).write_bytes(_json_bytes(payload))
+        _write_report(cfg, payload)
 
 
 def _cmd_spatial(cfg: dict) -> None:
-    _require(cfg, "dist", "theta", "d", "beta", "lam", "r", "R")
-    dist = _parse_dist_arg(cfg["dist"])
-    scfg = spatial.SpatialConfig(
-        d=int(cfg["d"]), beta=float(cfg["beta"]), theta=float(cfg["theta"]),
-        lam=float(cfg["lam"]), r=float(cfg["r"]),
-    )
-    params = {
-        "dist": cfg["dist"], "theta": scfg.theta, "d": scfg.d, "beta": scfg.beta,
-        "lam": scfg.lam, "r": scfg.r, "mode": cfg["mode"],
-    }
-    if cfg.get("x0") is not None:
-        params["x0"] = float(cfg["x0"])
-    report = stats.run_replicates("spatial", params, int(cfg["R"]), int(cfg["seed"]))
-    if cfg.get("x0") is not None:
-        rate = spatial.origin_degree_rate(scfg, dist, float(cfg["x0"]))
+    x0 = {"x0": float} if cfg.get("x0") is not None else {}
+    report, lcfg = _replicates(cfg, "spatial", d=int, beta=float, lam=float, r=float,
+                               mode=str, **x0)
+    scfg = spatial.SpatialConfig(**{k: report.config[k]
+                                    for k in ("d", "beta", "theta", "lam", "r")})
+    if x0:
+        rate = spatial.origin_degree_rate(scfg, lcfg.dist, report.config["x0"])
         stat, dof, pvalue = _poisson_gof(report.samples, rate)
         report.gof = {"name": "chi2_vs_poisson", "stat": stat, "dof": dof,
                       "pvalue": pvalue}
@@ -382,12 +337,12 @@ def _cmd_spatial(cfg: dict) -> None:
     else:
         try:
             mean = scfg.lam * spatial.sphere_surface(scfg.d) * expectation(
-                dist, lambda x: spatial.radial_intensity(scfg, dist, x)
+                lcfg.dist, lambda x: spatial.radial_intensity(scfg, lcfg.dist, x)
             )
             report.extras["mean_identity"] = mean
         except (RegimeError, NumericError):
             report.extras["mean_identity"] = None
-    _write_report(cfg, report.to_dict(), report.samples)
+    _write_report(cfg, report.to_dict(), report.samples, report.columns)
 
 
 def _poisson_gof(samples: np.ndarray, rate: float):
@@ -400,21 +355,9 @@ def _poisson_gof(samples: np.ndarray, rate: float):
 
 
 def _cmd_clt_check(cfg: dict) -> None:
-    _require(cfg, "dist", "theta", "d", "beta", "lam", "r", "Cr", "R")
-    _parse_dist_arg(cfg["dist"])
-    params = {
-        "dist": cfg["dist"], "theta": float(cfg["theta"]), "d": int(cfg["d"]),
-        "beta": float(cfg["beta"]), "lam": float(cfg["lam"]), "r": float(cfg["r"]),
-        "Cr": float(cfg["Cr"]),
-    }
-    report = stats.run_replicates("clt", params, int(cfg["R"]), int(cfg["seed"]))
-    ks = stats.ks_statistic(report.samples, stats.normal_cdf)
-    report.gof = {
-        "name": "ks_vs_standard_normal",
-        "stat": ks,
-        "pvalue": stats.kolmogorov_sf(math.sqrt(report.replicates) * ks),
-    }
-    _write_report(cfg, report.to_dict(), report.samples)
+    report, _ = _replicates(cfg, "clt", d=int, beta=float, lam=float, r=float, Cr=float)
+    _ks(report, "ks_vs_standard_normal", stats.normal_cdf)
+    _write_report(cfg, report.to_dict(), report.samples, report.columns)
 
 
 _COMMANDS = {
@@ -429,25 +372,17 @@ _COMMANDS = {
 }
 
 
-def dispatch(cfg: dict) -> int:
-    command = cfg.get("command")
-    if command not in _COMMANDS:
-        raise UsageError(f"unknown command {command!r}")
-    _COMMANDS[command](cfg)
-    return 0
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         cfg = _merge_config(args)
-        return dispatch(cfg)
+        _COMMANDS[cfg["command"]](cfg)
+        return 0
     except UsageError as exc:
         print(f"threshnet: usage error: {exc}", file=sys.stderr)
         return 1
-    except (NumericError, CapacityError, RegimeError, DomainError,
-            DegenerateConditioningError, ThreshnetError) as exc:
+    except ThreshnetError as exc:
         print(f"threshnet: error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, TypeError) as exc:

@@ -31,15 +31,10 @@ from .errors import DegenerateConditioningError, DomainError
 
 @dataclass(frozen=True)
 class LimitConfig:
-    """Weight law + threshold + quadrature budget for the oracles."""
+    """Weight law + threshold: the arguments every oracle shares."""
 
     dist: WeightDistribution
     theta: float
-    quad_nodes: int = 256
-
-    def __post_init__(self):
-        if self.quad_nodes < 16:
-            raise DomainError("quad_nodes must be >= 16")
 
 
 def degree_pmf(cfg: LimitConfig, n: int, k: int) -> float:
@@ -63,7 +58,7 @@ def degree_pmf(cfg: LimitConfig, n: int, k: int) -> float:
         edge = np.where(p <= 0.0, float(k == 0), float(k == n))
         return np.where(inside, mixed, edge)
 
-    return expectation(dist, term, limit=cfg.quad_nodes)
+    return expectation(dist, term)
 
 
 def limit_degree_cdf(cfg: LimitConfig, t: float) -> float:
@@ -84,7 +79,6 @@ def limit_degree_cdf(cfg: LimitConfig, t: float) -> float:
         return expectation(
             dist,
             lambda x: np.where(1.0 - dist.cdf(theta - x) <= t, 1.0, 0.0),
-            limit=cfg.quad_nodes,
         )
     upper = dist.support()[1] if t == 0.0 else float(dist._isf(t))
     return dist.cdf(theta - upper)
@@ -93,8 +87,7 @@ def limit_degree_cdf(cfg: LimitConfig, t: float) -> float:
 def edge_probability(cfg: LimitConfig) -> float:
     """P(X1 + X2 > theta) for two independent weights."""
     dist, theta = cfg.dist, cfg.theta
-    return expectation(dist, lambda a: 1.0 - dist.cdf(theta - a),
-                       limit=cfg.quad_nodes)
+    return expectation(dist, lambda a: 1.0 - dist.cdf(theta - a))
 
 
 def conditional_triangle_probability(cfg: LimitConfig, x):
@@ -131,7 +124,6 @@ def conditional_triangle_probability(cfg: LimitConfig, x):
                 dist.cdf(low[upper]),
                 dist.cdf(xs[upper]),  # theta - low
                 points=brk,
-                limit=cfg.quad_nodes,
             )
             out[upper] = mid + (1.0 - dist.cdf(xs[upper])) * tail_low[upper]
     return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
@@ -142,7 +134,6 @@ def triangle_probability(cfg: LimitConfig) -> float:
     return expectation(
         cfg.dist,
         lambda x: conditional_triangle_probability(cfg, x),
-        limit=cfg.quad_nodes,
     )
 
 
@@ -156,7 +147,6 @@ def triangle_kernel_variance(cfg: LimitConfig, f3: float) -> float:
     second = expectation(
         cfg.dist,
         lambda x: conditional_triangle_probability(cfg, x) ** 2,
-        limit=cfg.quad_nodes,
     )
     return max(0.0, second - f3**2)
 
@@ -194,8 +184,8 @@ def edge_conditioned_correlation(cfg: LimitConfig) -> tuple[float, float]:
                     m11 += w * phi(a) * phi(b)
         m1, m2, m11 = m1 / alpha, m2 / alpha, m11 / alpha
     else:
-        m1 = expectation(dist, lambda a: phi(a) ** 2, limit=cfg.quad_nodes) / alpha
-        m2 = expectation(dist, lambda a: phi(a) ** 3, limit=cfg.quad_nodes) / alpha
+        m1 = expectation(dist, lambda a: phi(a) ** 2) / alpha
+        m2 = expectation(dist, lambda a: phi(a) ** 3) / alpha
 
         def outer(a):
             u0 = dist.cdf(theta - a)
@@ -203,11 +193,11 @@ def edge_conditioned_correlation(cfg: LimitConfig) -> tuple[float, float]:
             reach = u0 < 1.0
             if reach.any():
                 inner[reach] = quad_checked(
-                    lambda u: phi(dist._ppf(u)), u0[reach], 1.0, limit=cfg.quad_nodes
+                    lambda u: phi(dist._ppf(u)), u0[reach], 1.0
                 )
             return phi(a) * inner
 
-        m11 = expectation(dist, outer, limit=cfg.quad_nodes) / alpha
+        m11 = expectation(dist, outer) / alpha
 
     cov = m11 - m1 * m1
     var = m2 - m1 * m1

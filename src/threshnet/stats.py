@@ -80,7 +80,7 @@ class ReplicateReport:
     gof: Optional[dict] = None
     extras: dict = field(default_factory=dict)
 
-    def to_dict(self, samples_path: Optional[str] = None) -> dict:
+    def to_dict(self) -> dict:
         out = {
             "experiment": self.experiment,
             "config": self.config,
@@ -93,8 +93,6 @@ class ReplicateReport:
         }
         if self.columns is not None:
             out["columns"] = list(self.columns)
-        if samples_path is not None:
-            out["samples_path"] = samples_path
         out.update(self.extras)
         return out
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import threshnet
-from threshnet.cli import main
+from threshnet.cli import build_parser, main
 
 
 def run(args):
@@ -218,6 +218,9 @@ def test_import_does_not_load_scipy():
     (["triangles", "--n", "1"], "n >= 3"),
     (["triangles", "--n", "2"], "n >= 3"),
     (["local", "--n", "10", "--R", "3", "--config", "{cfg}"], "grid >= 1"),
+    (["limits", "--table", "h1", "--grid", "0"], "grid >= 1"),
+    (["limits", "--table", "limit-cdf", "--grid", "0"], "grid >= 1"),
+    (["limits", "--table", "degree-pmf", "--n", "-3"], "n >= 0"),
 ])
 def test_small_inputs_name_their_minimum(tmp_path, capsys, args, minimum):
     cfg = tmp_path / "cfg.json"
@@ -228,3 +231,48 @@ def test_small_inputs_name_their_minimum(tmp_path, capsys, args, minimum):
     assert code == 2
     assert minimum in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["local", "--dist", "uniform:0,1", "--theta", "1", "--n", "30", "--R", "12",
+     "--seed", "2"],
+    ["limits", "--dist", "pareto:1,3", "--theta", "2.5", "--table", "summary"],
+    ["limits", "--dist", "exp:1", "--theta", "1", "--table", "h1", "--grid", "9"],
+])
+def test_stdout_matches_out_file(tmp_path, capsys, args):
+    assert run(args) == 0
+    stdout = capsys.readouterr().out.encode("utf-8")
+    out = tmp_path / "r.out"
+    assert run(args + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert stdout == out.read_bytes()
+
+
+def test_pair_csv_samples_without_side_tables(tmp_path):
+    out = tmp_path / "p.csv"
+    code = run(["pair", "--dist", "uniform:0,1", "--theta", "1", "--n", "30",
+                "--R", "7", "--seed", "3", "--format", "csv", "--out", str(out)])
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "d1_over_n,d2_over_n,edge"
+    assert len(lines) == 8 and all(len(line.split(",")) == 3 for line in lines[1:])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv"]
+
+
+_SHARED = {"-h", "--help", "--config", "--dist", "--theta", "--seed", "--out", "--format"}
+_SPACE = {"--d", "--beta", "--lambda", "--r"}
+
+
+@pytest.mark.parametrize("command, own", [
+    ("degree", {"--n", "--R"}),
+    ("pair", {"--n", "--R"}),
+    ("triangles", {"--n"}),
+    ("motif", {"--n", "--motif", "--density-samples"}),
+    ("local", {"--n", "--R"}),
+    ("limits", {"--n", "--table", "--grid"}),
+    ("spatial", {"--R", "--mode", "--x0"} | _SPACE),
+    ("clt-check", {"--R", "--Cr"} | _SPACE),
+])
+def test_subcommand_options(command, own):
+    (subparsers,) = [a for a in build_parser()._actions if a.dest == "command"]
+    assert set(subparsers.choices[command]._option_string_actions) == _SHARED | own

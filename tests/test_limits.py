@@ -213,8 +213,3 @@ def test_edge_conditioned_correlation_degenerate_marginals():
 def test_edge_conditioned_correlation_no_edges():
     with pytest.raises(DegenerateConditioningError):
         limits.edge_conditioned_correlation(limits.LimitConfig(dist.point_mass(0.4), 1.0))
-
-
-def test_quad_nodes_validation():
-    with pytest.raises(DomainError):
-        limits.LimitConfig(dist.uniform(0, 1), 1.0, quad_nodes=8)
