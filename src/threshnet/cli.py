@@ -5,9 +5,9 @@ clt-check.  Flags override keys of an optional flat-JSON config file.  Exit
 codes: 0 success, 1 usage error, 2 numeric/capacity error or a size below its
 minimum.  Identical invocations with identical seeds reproduce identical
 output bytes.  Each report goes to --out, or to stdout without it: JSON, or
-CSV for the limits tables and, with --format csv and --out, for the samples.
-Commands with one sample per replicate also write plot-ready ECDF and
-histogram CSV tables next to an --out report.
+CSV for the limits tables and, with --format csv, for the samples.  Commands
+with one sample per replicate also write plot-ready ECDF and histogram CSV
+tables next to an --out report.
 """
 
 from __future__ import annotations
@@ -84,7 +84,8 @@ _DEFAULTS = {"seed": 0, "fmt": "json", "mode": "mixture", "grid": 512}
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    """Config-file values fill in flags left unset; flags win."""
+    """Config-file values fill in flags left unset; flags win.  A null in
+    the file leaves its key unset."""
     merged: dict = {}
     if getattr(args, "config", None):
         try:
@@ -94,7 +95,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise UsageError(f"cannot read config file {args.config}: {exc}")
         if not isinstance(file_cfg, dict):
             raise UsageError("config file must hold a flat JSON object")
-        merged.update(file_cfg)
+        merged.update((k, v) for k, v in file_cfg.items() if v is not None)
     for key, value in vars(args).items():
         if key == "config" or value is None:
             continue
@@ -144,7 +145,7 @@ def _write_report(cfg: dict, payload: dict, samples: np.ndarray | None = None,
     or stdout; next to an ``--out`` file also the ECDF and histogram of 1-D
     samples."""
     out = cfg.get("out")
-    if out is not None and cfg["fmt"] == "csv" and samples is not None:
+    if cfg["fmt"] == "csv" and samples is not None:
         rows = samples.reshape(samples.shape[0], -1).tolist()
         _write(out, _csv(",".join(columns) if columns else "value", rows))
     else:

@@ -18,24 +18,27 @@ kind                  params                         support
 The pareto kind has CDF ``1 - scale_c * x**(-alpha)`` on its support.
 
 Expectations against the law are computed by quantile transform: continuous
-kinds integrate ``g(quantile(u))`` over ``u in (0, 1)`` with adaptive
-bisection quadrature (so unbounded supports need no truncation), discrete
-kinds sum atoms exactly.  Atoms are never smoothed.  Quantiles of nodes above
-``u = 1/2`` are taken from ``1 - u`` directly, so finite tail moments of
-unbounded laws stay finite.
+kinds integrate ``g(quantile(u))`` over ``u in (0, 1)`` (so unbounded
+supports need no truncation), discrete kinds sum atoms exactly.  Atoms are
+never smoothed.  The upper part of (0, 1) is integrated in ``v = 1 - u``
+through the upper-tail quantile, so no node rounds onto ``u = 1`` and
+finite tail moments of unbounded laws stay finite.
+
+One integrator does all the quadrature: :func:`quad_checked`, composite
+21-node Gauss-Legendre panels on ``[lo, hi]`` (with ``hi`` possibly
+infinite) that start at the caller's breakpoints and are refined by halving,
+every level in one call of the integrand.  Given arrays of bounds it
+integrates all rows in one batch, each row exactly as a call of its own.
+:func:`expectation` runs it on two seed partitions of (0, 1) in one batch
+and certifies the value by their agreement; the oracles in ``limits`` and
+``spatial`` call it for their inner integrals.
 
 Every integrand is elementwise: it maps an array of points to an array of
 values (a constant is broadcast), and its value at a point must not depend
-on the other points of the array.  :func:`expectation` runs its bisection
-one level at a time and calls ``g`` on a 1-D array holding the 21 nodes of
-each of up to 8 cells, or once on all atoms of a discrete law.
-:func:`quad_checked` integrates on ``[lo, hi]`` (with ``hi`` possibly
-infinite) for the oracles in ``limits`` and ``spatial``: composite 21-node
-Gauss-Legendre panels that start at the caller's breakpoints, refined by
-halving, every level in one call of the integrand.  Given arrays of bounds
-it integrates all rows in one batch, each row exactly as a call of its own.
-Only numpy is needed at run time, and the 21-node rule is written out, so
-``numpy.polynomial`` is never imported.
+on the other points of the array.  :func:`expectation` calls ``g`` on 1-D
+arrays of at most 168 quadrature nodes, or once on all atoms of a discrete
+law.  Only numpy is needed at run time, and the 21-node rule is written out,
+so ``numpy.polynomial`` is never imported.
 """
 
 from __future__ import annotations
@@ -291,47 +294,51 @@ def _values_at(g, xs, what: str):
     return vals
 
 
-def expectation(dist: WeightDistribution, g, *, limit: int = 256) -> float:
+def expectation(dist: WeightDistribution, g) -> float:
     """Integrate ``g`` against the weight law.
 
     Discrete kinds sum atoms exactly.  Continuous kinds integrate
-    ``g(quantile(u))`` over ``u in (0, 1)`` with adaptive bisection
-    quadrature; ``limit`` scales the refinement budget.  ``g`` is
-    elementwise: it maps a 1-D array of weights (the nodes of up to
-    ``_CELLS_PER_CALL`` quadrature cells, 21 per cell, or all atoms of a
-    discrete law) to an array of values of the same shape, or to a constant,
-    and must be finite wherever the law has mass.
+    ``g(quantile(u))`` over ``u in (0, 1)`` with :func:`quad_checked`, once
+    per seed partition of (0, 1) into equal cells: the lower cells as a row
+    in ``u`` through the quantile, the upper ones as a row in ``v = 1 - u``
+    through the upper-tail quantile, both cut at the seed edges.  ``g`` is
+    elementwise: it maps a 1-D array of weights (at most ``_NODES_PER_CALL``
+    quadrature nodes, or all atoms of a discrete law) to an array of values
+    of the same shape, or to a constant, and must be finite wherever the law
+    has mass.
     """
     if dist.is_discrete:
         xs = np.array([x for x, _ in dist.atoms()])
         ps = np.array([p for _, p in dist.atoms()])
         return math.fsum((ps * _values_at(g, xs, "atom x")).tolist())
 
-    def cells(a, b):
-        # Nodes above u = 1/2 take their quantile from v = 1 - u, which is
-        # computed without rounding, so no node lands on u = 1 (where an
-        # unbounded support has an infinite quantile) and finite tail
-        # moments stay finite.
-        half = 0.5 * (b - a)
-        u = a[:, None] + half[:, None] * (_GL_NODES + 1.0)
-        v = (1.0 - b)[:, None] + half[:, None] * (1.0 - _GL_NODES)
-        xs = np.where(u <= 0.5, dist._ppf(np.minimum(u, 0.5)), dist._isf(v))
-        sums = []
-        for i in range(0, len(xs), _CELLS_PER_CALL):
-            block = xs[i:i + _CELLS_PER_CALL]
-            vals = _values_at(g, block.ravel(), "x").reshape(block.shape)
-            sums += [math.fsum(row) for row in (_GL_WEIGHTS * vals).tolist()]
-        return half * np.array(sums)
+    def integrand(t, upper):
+        xs = np.empty_like(t)
+        xs[~upper] = dist._ppf(t[~upper])
+        xs[upper] = dist._isf(t[upper])
+        return np.concatenate([
+            _values_at(g, xs[i:i + _NODES_PER_CALL], "x")
+            for i in range(0, xs.size, _NODES_PER_CALL)
+        ])
 
-    # Two full adaptive passes over incommensurate seed partitions.  A jump
-    # of g can hide only in the node-free sliver beside a persistent cell
-    # edge of one partition; the edges of the other partition fall elsewhere,
-    # so agreement certifies the value.
-    budget = 64 * limit
-    first, second = _adaptive_unit_integrals(cells, (8, 7), budget=budget)
+    def passes(seed_counts):
+        # rows (u, v) of each partition, cut at its seed edges j/k
+        hi = [[(k + 1) // 2 / k, k // 2 / k] for k in seed_counts]
+        edges = np.full((2 * len(seed_counts), max(seed_counts) - 1), np.nan)
+        for i, k in enumerate(seed_counts):
+            edges[2 * i:2 * i + 2, :k - 1] = np.arange(1, k) / k
+        values = quad_checked(integrand, 0.0, np.ravel(hi), points=edges,
+                              args=(np.tile([False, True], len(seed_counts)),))
+        return (values[0::2] + values[1::2]).tolist()
+
+    # Two passes over incommensurate seed partitions.  A jump of g can hide
+    # only in the node-free sliver beside a persistent panel edge of one
+    # partition; the seed edges of the other partition fall elsewhere, so
+    # agreement certifies the value.
+    first, second = passes((8, 7))
     if abs(first - second) <= 5e-9 * max(1.0, abs(first)):
         return 0.5 * (first + second)
-    (third,) = _adaptive_unit_integrals(cells, (11,), budget=budget)
+    (third,) = passes((11,))
     candidates = sorted([first, second, third])
     if candidates[1] - candidates[0] <= candidates[2] - candidates[1]:
         close = (candidates[0], candidates[1])
@@ -340,6 +347,11 @@ def expectation(dist: WeightDistribution, g, *, limit: int = 256) -> float:
     if abs(close[0] - close[1]) <= 5e-9 * max(1.0, abs(close[1])):
         return 0.5 * (close[0] + close[1])
     raise NumericError("quadrature passes disagree; integrand too irregular")
+
+
+# Nodes in one call of an expectation's integrand.  It bounds the memory of
+# integrands that run a batched quadrature per node.
+_NODES_PER_CALL = 168
 
 
 # The 21-point Gauss-Legendre rule on [-1, 1], as numpy.polynomial's
@@ -364,62 +376,13 @@ _GL_WEIGHTS = np.array([
     0.05713442542685717, 0.03695378977085188, 0.01601722825777436,
 ])
 
-# Cells whose nodes go to one call of an expectation's integrand.  It bounds
-# the memory of integrands that run a batched quadrature per node.
-_CELLS_PER_CALL = 8
-
-
-def _adaptive_unit_integrals(
-    cells, seed_counts, abstol: float = 1e-10, budget: int = 16384
-) -> list[float]:
-    """Adaptive bisection quadrature on (0, 1) without extrapolation, one
-    pass per entry of ``seed_counts`` (its number of equal seed cells).
-
-    ``cells(a, b)`` is the array of Gauss-Legendre values of the integrand
-    on the cells [a[i], b[i]].  Extrapolating integrators can lock onto a
-    confidently wrong value at an interior jump; plain interval halving
-    cannot.  A cell is accepted only when its value agrees with the sum over
-    its halves within a width-proportional tolerance, so a visible jump
-    keeps its cell splitting until the width (hence the possible error) is
-    negligible.  The passes run level by level: each level evaluates the
-    halves of every open cell of every pass together.  A pass that still
-    has cells to split after evaluating more than ``budget`` cells raises.
-    Each pass returns the ``fsum`` of its accepted cells, which does not
-    depend on the order they were accepted in.
-    """
-    a = np.concatenate([np.arange(k) / k for k in seed_counts])
-    b = np.concatenate([np.arange(1, k + 1) / k for k in seed_counts])
-    owner = np.repeat(np.arange(len(seed_counts)), seed_counts)
-    whole = cells(a, b)
-    used = np.array(seed_counts)
-    accepted: list[list[float]] = [[] for _ in seed_counts]
-    while a.size:
-        n = a.size
-        mid = 0.5 * (a + b)
-        halves = cells(np.concatenate([a, mid]), np.concatenate([mid, b]))
-        left, right = halves[:n], halves[n:]
-        used += 2 * np.bincount(owner, minlength=len(seed_counts))
-        total = left + right
-        done = (np.abs(whole - total) <= np.maximum(abstol * (b - a), 1e-16)) | (
-            b - a <= 1e-14
-        )
-        for p, kept in enumerate(accepted):
-            kept += total[done & (owner == p)].tolist()
-        split = ~done
-        if (used[owner[split]] > budget).any():
-            raise NumericError(
-                f"adaptive quadrature exceeded its budget of {budget} panels"
-            )
-        a = np.concatenate([a[split], mid[split]])
-        b = np.concatenate([mid[split], b[split]])
-        whole = np.concatenate([left[split], right[split]])
-        owner = np.concatenate([owner[split], owner[split]])
-    return [math.fsum(kept) for kept in accepted]
-
-
 # Panels close at this error, relative to the integral of |f| and shared out
-# by width; an error estimate above _QUAD_FAIL_RTOL raises.
+# by width, or at the floors below it: an error of _QUAD_FLOOR_RTOL of the
+# integral of |f|, or a width of _QUAD_MIN_WIDTH of the row.  A row's summed
+# error estimate above _QUAD_FAIL_RTOL raises.
 _QUAD_RTOL = 1e-11
+_QUAD_FLOOR_RTOL = 1e-13
+_QUAD_MIN_WIDTH = 1e-14
 _QUAD_FAIL_RTOL = 1e-6
 
 
@@ -439,9 +402,10 @@ def quad_checked(f, lo, hi, *, points=None, args=(), limit: int = 256):
     Each level evaluates every open panel's halves (and, at the first level,
     the panel itself) of every row in one call of ``f``; a panel closes when
     whole and halves agree within its width's share of 1e-11 times its
-    row's integral of |f|, and its halves' sum is kept.  Each row returns
-    the ``fsum`` of its own kept panels, so it equals a call on that row
-    alone bit for bit.  Raises NumericError, naming the row's span, on a
+    row's integral of |f|, or within 1e-13 of that integral, or when it is
+    at most 1e-14 of its row's width, and its halves' sum is kept.  Each
+    row returns the ``fsum`` of its own kept panels, so it equals a call on
+    that row alone bit for bit.  Raises NumericError, naming the row's span, on a
     non-finite integrand value, when a row needs more than ``limit`` panels,
     or when a row's summed error estimate exceeds 1e-6 of its integral of
     |f|.  Returns a float for scalar ``lo`` and ``hi``, else an array.
@@ -525,8 +489,9 @@ def quad_checked(f, lo, hi, *, points=None, args=(), limit: int = 256):
     while True:
         left, right = est[:n], est[n:]
         err = np.abs(whole - (left + right))
-        unsplittable = (mid <= a) | (mid >= b)
-        done = (err <= _QUAD_RTOL * scale[row] * (b - a) / width[row]) | unsplittable
+        unsplittable = (mid <= a) | (mid >= b) | (b - a <= _QUAD_MIN_WIDTH * width[row])
+        tol = np.maximum(_QUAD_RTOL * (b - a) / width[row], _QUAD_FLOOR_RTOL) * scale[row]
+        done = (err <= tol) | unsplittable
         kept_values.append((left + right)[done])
         kept_errors.append(err[done])
         kept_rows.append(row[done])

@@ -7,15 +7,16 @@ CLT variance driver), and the edge-conditioned weight correlation that
 witnesses asymptotic dependence.
 
 All continuous-kind integrals run in quantile space, so bounded and
-heavy-tailed supports share one code path: expectations through
-:func:`threshnet.dist.expectation`, and the inner one-dimensional integrals
-of the triangle and correlation oracles through the array-valued
-Gauss-Legendre integrator :func:`threshnet.dist.quad_checked`.  Integrands
-are elementwise, so an expectation evaluates a whole quadrature cell at
-once, and the inner integrals of a cell's nodes run as one batch
-(:func:`conditional_triangle_probability` takes any array of weights).  The
-limiting degree CDF of a continuous law is closed form.  Discrete kinds
-reduce to exact atom sums.
+heavy-tailed supports share one code path, and one integrator does them
+all: the array-valued Gauss-Legendre integrator
+:func:`threshnet.dist.quad_checked`, called by
+:func:`threshnet.dist.expectation` for the outer expectations and directly
+for the inner one-dimensional integrals of the triangle and correlation
+oracles.  Integrands are elementwise, so an expectation evaluates many
+quadrature nodes at once, and the inner integrals of those nodes run as one
+batch (:func:`conditional_triangle_probability` takes any array of
+weights).  The limiting degree CDF of a continuous law is closed form.
+Discrete kinds reduce to exact atom sums.
 """
 
 from __future__ import annotations

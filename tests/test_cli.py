@@ -154,6 +154,26 @@ def test_config_file_with_flag_override(tmp_path):
     assert report2["R"] == 10  # flag wins
 
 
+@pytest.mark.parametrize("key", ["seed", "grid"])
+def test_config_null_leaves_the_default(tmp_path, key):
+    args = ["local", "--dist", "uniform:0,1", "--theta", "1", "--n", "30", "--R", "5"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: None}))
+    plain, nulled = tmp_path / "plain.json", tmp_path / "nulled.json"
+    assert run(args + ["--out", str(plain)]) == 0
+    assert run(args + ["--config", str(cfg), "--out", str(nulled)]) == 0
+    assert nulled.read_bytes() == plain.read_bytes()
+
+
+def test_config_null_required_key_is_named(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dist": "uniform:0,1", "theta": 1.0, "n": 30, "R": None}))
+    out = tmp_path / "d.json"
+    assert run(["degree", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "missing required option(s): --R" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_csv_sample_output(tmp_path):
     out = tmp_path / "d.csv"
     run(["degree", "--dist", "uniform:0,1", "--theta", "1", "--n", "50",
@@ -238,6 +258,8 @@ def test_small_inputs_name_their_minimum(tmp_path, capsys, args, minimum):
      "--seed", "2"],
     ["limits", "--dist", "pareto:1,3", "--theta", "2.5", "--table", "summary"],
     ["limits", "--dist", "exp:1", "--theta", "1", "--table", "h1", "--grid", "9"],
+    ["degree", "--dist", "uniform:0,1", "--theta", "1", "--n", "40", "--R", "6",
+     "--seed", "4", "--format", "csv"],
 ])
 def test_stdout_matches_out_file(tmp_path, capsys, args):
     assert run(args) == 0

@@ -255,27 +255,55 @@ def test_gauss_legendre_literals():
 
 
 def test_expectation_exhausted_budget():
-    with pytest.raises(NumericError, match="exceeded its budget of 64 panels"):
-        dist.expectation(dist.uniform(0, 1), lambda x: np.sin(1e5 * x), limit=1)
+    with pytest.raises(NumericError, match=r"\[0.0, 0.5\] exhausted its budget of 256 panels"):
+        dist.expectation(dist.uniform(0, 1), lambda x: np.sin(1e5 * x))
 
 
-def test_expectation_passes_disagree():
-    # x**-0.9 is integrable, but its mass below the 1e-14 cell floor is 4%
-    # of the total; each seed partition stops at its own floor width and
-    # lands on its own value
-    with pytest.raises(NumericError, match="passes disagree"):
+def test_expectation_unresolved_singularity():
+    # x**-0.9 is integrable, but its mass below the panel width floor of
+    # 1e-14 of the row is 4% of the total, far above the error a row may keep
+    with pytest.raises(NumericError, match="did not converge"):
         dist.expectation(dist.uniform(0, 1), lambda x: x**-0.9)
 
 
+def _sliver_steps(*steps):
+    """A sum of unit steps 1{x > edge + offset} under uniform(0, 1), where x
+    is u itself.  Each offset is below the node-free sliver of the seed
+    panel that starts at ``edge``, so the pass whose partition has that
+    edge misses the step's mass; the other passes resolve it."""
+    return lambda x: sum(np.where(x > edge + offset, 1.0, 0.0) for edge, offset in steps)
+
+
+def test_expectation_passes_disagree():
+    # 1/8 is a dyadic point that the 7- and 11-cell passes reach at
+    # bisection depth 3, where their slivers are narrower than 3e-5; 1/7
+    # and 1/11 are edges of one partition only
+    g = _sliver_steps((1 / 8, 1e-4), (1 / 7, 3e-5), (1 / 11, 1e-5))
+    with pytest.raises(NumericError, match="passes disagree"):
+        dist.expectation(dist.uniform(0, 1), g)
+
+
+@pytest.mark.parametrize("down", [False, True], ids=["step-up", "step-down"])
+def test_expectation_majority_of_three_passes(down):
+    # the 8-cell pass misses the step, the 7-cell pass sees it, and the
+    # 11-cell pass breaks the tie; the outlier is the largest pass for a
+    # step up and the smallest for a step down
+    up = _sliver_steps((1 / 8, 1e-4))
+    g = (lambda x: 1.0 - up(x)) if down else up
+    exact = 1 / 8 + 1e-4 if down else 1.0 - (1 / 8 + 1e-4)
+    assert dist.expectation(dist.uniform(0, 1), g) == pytest.approx(exact, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
-# level-synchronous expectation against the depth-first reference
+# expectation against the depth-first reference
 
 
 def _reference_expectation(law, g, limit=256):
     """``expectation`` as it ran depth first, one 21-node cell per call of
-    ``g``, kept as the reference the level-synchronous passes must equal."""
+    ``g`` and an absolute tolerance per cell, kept as the reference the
+    passes through ``quad_checked`` must match."""
     if law.is_discrete:
-        return dist.expectation(law, g, limit=limit)
+        return dist.expectation(law, g)
     nodes, weights = np.polynomial.legendre.leggauss(21)
 
     def cell(a, b):
@@ -339,7 +367,7 @@ def test_expectation_equals_depth_first_reference(law, name):
     if name in ("x", "x2") and law.kind == "pareto":
         law = dist.pareto(1.0, 8.0)  # pareto(1, 1) has no finite mean
     g = _INTEGRANDS[name](law)
-    assert dist.expectation(law, g) == _reference_expectation(law, g)
+    assert dist.expectation(law, g) == pytest.approx(_reference_expectation(law, g), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,26 @@ def test_direct_vs_mixture_two_sample_ks():
     assert stats.ks_two_sample(direct, mixture) < 0.04
 
 
+@pytest.mark.parametrize(
+    "law, cfg, x, exact",
+    [
+        # C_inf(x) = (x + E[X]) / 2 at d = beta = 2, theta = 1, E[X] = 3/2
+        (dist.pareto(1.0, 3.0), spatial.SpatialConfig(d=2, beta=2.0, theta=1.0, lam=1.0, r=1.0),
+         0.2, 0.85),
+        # C_inf(0) = int_0^inf s**2 exp(-0.8 s**0.5) ds = 240 / 0.8**6
+        (dist.exponential(1.0), spatial.SpatialConfig(d=3, beta=0.5, theta=0.8, lam=1.0, r=1.0),
+         0.0, 240 / 0.8**6),
+    ],
+    ids=["pareto3-d2-beta2", "exp-d3-beta0.5"],
+)
+def test_limiting_radial_intensity_long_tail(law, cfg, x, exact):
+    # the tail rows of these integrals end in panels whose error estimates
+    # are quadrature noise; they close at the error floor, so C_inf and the
+    # mixed-Poisson pmf built on it are finite values, not NumericErrors
+    assert spatial.radial_intensity(cfg, law, x, math.inf) == pytest.approx(exact, rel=1e-10)
+    assert 0.0 <= spatial.origin_degree_pmf(cfg, law, 0) <= 1.0
+
+
 def test_mixture_pmf_pure_poisson():
     # degenerate weight law with lam * c_d * C = 1: plain Poisson(1)
     c = 1.0 / (2 * math.pi)
