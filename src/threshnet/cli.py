@@ -50,6 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "help": "report format (default json)"}))
     n = ("--n", {"type": int, "help": "vertex count"})
     r = ("--R", {"type": int, "help": "replicate count"})
+    grid = ("--grid", {"type": int, "help": "grid size for cdf/h1 tables"})
     space = (("--d", {"type": int, "help": "dimension (1, 2 or 3)"}),
              ("--beta", {"type": float, "help": "distance exponent"}),
              ("--lambda", {"type": float, "dest": "lam", "help": "Poisson intensity"}),
@@ -67,11 +68,10 @@ def build_parser() -> argparse.ArgumentParser:
             ("--motif", {"help": "motif spec, e.g. k=4;edges=1-2,2-3,3-4,4-1"}),
             ("--density-samples", {
                 "type": int, "help": "also estimate the motif probability by Monte Carlo"}))
-    command("local", "local triangle-density samples", n, r)
+    command("local", "local triangle-density samples", n, r, grid)
     command("limits", "closed-form limit tables and summaries", n,
             ("--table", {"choices": ("degree-pmf", "summary", "limit-cdf", "h1"),
-                         "help": "which table to emit"}),
-            ("--grid", {"type": int, "help": "grid size for cdf/h1 tables"}))
+                         "help": "which table to emit"}), grid)
     command("spatial", "spatial origin-degree experiment", r,
             ("--mode", {"choices": ("direct", "mixture"), "help": "sampler"}), *space,
             ("--x0", {"type": float, "help": "fix the origin weight"}))

@@ -113,6 +113,25 @@ class WeightDistribution:
             out = cum[np.searchsorted(vals, xv, side="right")]
         return float(out) if np.isscalar(x) or xv.ndim == 0 else out
 
+    def sf(self, x):
+        """P(X > x).  Continuous kinds evaluate the tail itself, not
+        ``1 - cdf(x)``, which rounds away an upper tail below about 1e-16;
+        atom laws take ``1 - cdf(x)``."""
+        xv = np.asarray(x, dtype=float)
+        if self.kind == "uniform":
+            a, b = self.params
+            out = np.clip((b - xv) / (b - a), 0.0, 1.0)
+        elif self.kind == "exponential":
+            (rate,) = self.params
+            out = np.exp(-rate * np.maximum(xv, 0.0))
+        elif self.kind == "pareto":
+            c, alpha = self.params
+            xm = c ** (1.0 / alpha)
+            out = np.where(xv < xm, 1.0, c * np.maximum(xv, xm) ** (-alpha))
+        else:
+            return 1.0 - self.cdf(x)
+        return float(out) if np.isscalar(x) or xv.ndim == 0 else out
+
     def cdf_left(self, x):
         """P(X < x): the left limit of the CDF (differs only at atoms)."""
         if not self.is_discrete:
@@ -403,7 +422,11 @@ def quad_checked(f, lo, hi, *, points=None, args=(), limit: int = 256):
     the panel itself) of every row in one call of ``f``; a panel closes when
     whole and halves agree within its width's share of 1e-11 times its
     row's integral of |f|, or within 1e-13 of that integral, or when it is
-    at most 1e-14 of its row's width, and its halves' sum is kept.  Each
+    at most 1e-14 of its row's width, and its halves' sum is kept.  That
+    integral is the largest of the levels' estimates (kept panels plus open
+    halves), so mass that the first nodes barely reach, such as a narrow
+    peak, raises the scale instead of holding every panel to a tolerance
+    far below rounding.  Each
     row returns the ``fsum`` of its own kept panels, so it equals a call on
     that row alone bit for bit.  Raises NumericError, naming the row's span, on a
     non-finite integrand value, when a row needs more than ``limit`` panels,
@@ -422,7 +445,7 @@ def quad_checked(f, lo, hi, *, points=None, args=(), limit: int = 256):
 
     # Each row's first panels run between its cuts; an infinite row is
     # integrated in t on [0, 1) from its own lo.
-    a0, b0, rows0, budget, width, row_panels = [], [], [], [0] * m, [1.0] * m, {}
+    a0, b0, rows0, budget, width = [], [], [], [0] * m, [1.0] * m
     for i, (l, h) in enumerate(zip(los, his)):
         if not (math.isfinite(l) and l <= h):
             raise DomainError(f"quadrature needs a finite lo <= hi, got {span(i)}")
@@ -434,7 +457,6 @@ def quad_checked(f, lo, hi, *, points=None, args=(), limit: int = 256):
             cuts = [(p - l) / (1.0 + p - l) for p in cuts]
             l, h = 0.0, 1.0
         width[i] = h - l
-        row_panels[i] = (len(a0), len(a0) + len(cuts) + 1)
         a0 += [l, *cuts]
         b0 += [*cuts, h]
         rows0 += [i] * (len(cuts) + 1)
@@ -479,15 +501,16 @@ def quad_checked(f, lo, hi, *, points=None, args=(), limit: int = 256):
     mid = 0.5 * (a + b)
     est, mass = panels(np.concatenate([a, a, mid]), np.concatenate([b, mid, b]),
                        np.concatenate([row, row, row]))
-    whole, est = est[:n], est[n:]
-    scale = np.zeros(m)  # each row's integral of |f|: left halves, then right
-    for i, (j, k) in row_panels.items():
-        scale[i] = np.concatenate([mass[n + j:n + k], mass[2 * n + j:2 * n + k]]).sum()
+    whole, est, halves = est[:n], est[n:], mass[n:]
     width, budget = np.array(width), np.array(budget)
     n_kept = np.zeros(m, dtype=np.int64)
+    # each row's integral of |f|, the largest of its levels' estimates
+    scale, kept_mass = np.zeros(m), np.zeros(m)
     kept_values, kept_errors, kept_rows = [], [], []
     while True:
         left, right = est[:n], est[n:]
+        pair_mass = halves[:n] + halves[n:]
+        scale = np.maximum(scale, kept_mass + np.bincount(row, pair_mass, minlength=m))
         err = np.abs(whole - (left + right))
         unsplittable = (mid <= a) | (mid >= b) | (b - a <= _QUAD_MIN_WIDTH * width[row])
         tol = np.maximum(_QUAD_RTOL * (b - a) / width[row], _QUAD_FLOOR_RTOL) * scale[row]
@@ -496,6 +519,7 @@ def quad_checked(f, lo, hi, *, points=None, args=(), limit: int = 256):
         kept_errors.append(err[done])
         kept_rows.append(row[done])
         n_kept += np.bincount(row[done], minlength=m)
+        kept_mass += np.bincount(row[done], pair_mass[done], minlength=m)
         split = ~done
         if not split.any():
             break
@@ -511,8 +535,8 @@ def quad_checked(f, lo, hi, *, points=None, args=(), limit: int = 256):
         row = np.concatenate([row[split], row[split]])
         n = a.size
         mid = 0.5 * (a + b)
-        est, _ = panels(np.concatenate([a, mid]), np.concatenate([mid, b]),
-                        np.concatenate([row, row]))
+        est, halves = panels(np.concatenate([a, mid]), np.concatenate([mid, b]),
+                             np.concatenate([row, row]))
     kept_rows = np.concatenate(kept_rows)
     order = np.argsort(kept_rows)
     ends = np.cumsum(np.bincount(kept_rows, minlength=m)).tolist()

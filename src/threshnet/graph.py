@@ -188,40 +188,47 @@ def check_vertex_count(n, minimum: int, what: str) -> int:
 
 
 @register_experiment("degree")
-def _degree_experiment(params: dict, stream: np.random.Generator) -> float:
-    """D_n(1)/n for one fresh graph on n vertices."""
+def _degree_experiment(params: dict, streams) -> list:
+    """D_n(1)/n for one fresh graph on n vertices per stream."""
     dist = parse_dist(params["dist"])
     n = check_vertex_count(params["n"], 1, "the degree fraction")
     theta = float(params["theta"])
-    w = dist.sample(stream, n)
-    d = int(np.count_nonzero(w[1:] + w[0] > theta))
-    return d / n
+
+    def fraction(stream):  # a local, so no draw outlives its replicate
+        w = dist.sample(stream, n)
+        return int(np.count_nonzero(w[1:] + w[0] > theta)) / n
+
+    return [fraction(stream) for stream in streams]
 
 
 @register_experiment("pair", columns=("d1_over_n", "d2_over_n", "edge"))
-def _pair_experiment(params: dict, stream: np.random.Generator):
+def _pair_experiment(params: dict, streams) -> list:
     dist = parse_dist(params["dist"])
     n = int(params["n"])
     theta = float(params["theta"])
-    d1, d2, edge = tagged_pair_degrees(dist, n, theta, stream)
-    return d1 / n, d2 / n, 1.0 if edge else 0.0
+    rows = []
+    for stream in streams:
+        d1, d2, edge = tagged_pair_degrees(dist, n, theta, stream)
+        rows.append((d1 / n, d2 / n, 1.0 if edge else 0.0))
+    return rows
 
 
 @register_experiment("triangles")
-def _triangle_experiment(params: dict, stream: np.random.Generator) -> float:
-    """T_n / C(n,3) for one fresh graph."""
+def _triangle_experiment(params: dict, streams) -> list:
+    """T_n / C(n,3) for one fresh graph per stream."""
     dist = parse_dist(params["dist"])
     n = check_vertex_count(params["n"], 3, "the triangle density")
     theta = float(params["theta"])
-    g = sample_graph(dist, n, theta, stream)
-    return count_triangles(g) / math.comb(n, 3)
+    return [count_triangles(sample_graph(dist, n, theta, stream)) / math.comb(n, 3)
+            for stream in streams]
 
 
 @register_experiment("local")
-def _local_triangle_experiment(params: dict, stream: np.random.Generator) -> float:
-    """Triangles at vertex 1 among n+1 vertices, normalized by C(n,2)."""
+def _local_triangle_experiment(params: dict, streams) -> list:
+    """Triangles at vertex 1 among n+1 vertices, normalized by C(n,2), per
+    stream."""
     dist = parse_dist(params["dist"])
     n = check_vertex_count(params["n"], 2, "the local triangle density")
     theta = float(params["theta"])
-    g = sample_graph(dist, n + 1, theta, stream)
-    return count_local_triangles(g, 1) / math.comb(n, 2)
+    return [count_local_triangles(sample_graph(dist, n + 1, theta, stream), 1)
+            / math.comb(n, 2) for stream in streams]

@@ -42,7 +42,8 @@ def degree_pmf(cfg: LimitConfig, n: int, k: int) -> float:
     """P(degree = k) among n+1 vertices: the exact binomial mixture.
 
     The binomial factor is evaluated in log space so large n cannot
-    overflow.
+    overflow, and the edge probability ``sf(theta - x)`` of a weight x is
+    the survival function itself, so a far upper tail keeps its precision.
     """
     if not 0 <= k <= n:
         raise DomainError("need 0 <= k <= n")
@@ -52,7 +53,7 @@ def degree_pmf(cfg: LimitConfig, n: int, k: int) -> float:
     )
 
     def term(x):
-        p = 1.0 - dist.cdf(theta - x)
+        p = dist.sf(theta - x)
         inside = (p > 0.0) & (p < 1.0)
         q = np.where(inside, p, 0.5)
         mixed = np.exp(log_binom + k * np.log(q) + (n - k) * np.log1p(-q))
@@ -117,17 +118,24 @@ def conditional_triangle_probability(cfg: LimitConfig, x):
         out = tail_low * tail_low
         upper = xs > theta / 2.0
         if upper.any():
-            lo_s, hi_s = dist.support()
-            brk = [dist.cdf(theta - hi_s)] if math.isfinite(hi_s) else []
-            brk.append(dist.cdf(theta - lo_s))
             mid = quad_checked(
                 lambda u: 1.0 - dist.cdf(theta - dist._ppf(u)),
                 dist.cdf(low[upper]),
                 dist.cdf(xs[upper]),  # theta - low
-                points=brk,
+                points=_tail_kinks(dist, theta),
             )
             out[upper] = mid + (1.0 - dist.cdf(xs[upper])) * tail_low[upper]
     return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
+
+
+def _tail_kinks(dist: WeightDistribution, theta: float) -> list:
+    """The quantile levels u at which ``1 - F(theta - ppf(u))`` leaves 0 and
+    reaches 1: ``F(theta - sup)`` where the support is bounded above, and
+    ``F(theta - inf)``.  An integral over u is split there."""
+    lo_s, hi_s = dist.support()
+    kinks = [dist.cdf(theta - hi_s)] if math.isfinite(hi_s) else []
+    kinks.append(dist.cdf(theta - lo_s))
+    return kinks
 
 
 def triangle_probability(cfg: LimitConfig) -> float:
@@ -194,7 +202,8 @@ def edge_conditioned_correlation(cfg: LimitConfig) -> tuple[float, float]:
             reach = u0 < 1.0
             if reach.any():
                 inner[reach] = quad_checked(
-                    lambda u: phi(dist._ppf(u)), u0[reach], 1.0
+                    lambda u: phi(dist._ppf(u)), u0[reach], 1.0,
+                    points=_tail_kinks(dist, theta),
                 )
             return phi(a) * inner
 

@@ -7,7 +7,9 @@ x, Poisson with parameter ``lam * surface_d * integral_0^r s**(d-1) *
 (1 - F(theta * s**beta - x)) ds`` (thinning).  The mixture sampler draws the
 degree directly from that law; the direct sampler materializes the point
 cloud.  Both are distributionally identical, and the mixture path is O(1) in
-the radius.
+the radius.  The mixture sampler takes a campaign's streams together, so
+the radial integrals of its random origin weights run as batched
+quadratures, one per block of ``_STREAMS_PER_BATCH`` streams.
 
 Only the radial coordinate of a point ever enters the connection rule, so
 the direct sampler draws radii (``r * U**(1/d)``) and never materializes
@@ -21,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -29,6 +32,10 @@ from .errors import CapacityError, DomainError, RegimeError
 from .stats import register_experiment
 
 DIRECT_POINT_CAP = 100_000_000
+# Streams per batched radial quadrature of the mixture sampler.  Its node
+# arrays take about 7 KB per stream (11 KB at r = inf, a head and a tail),
+# so a block bounds them at about 3 MB whatever the replicate count.
+_STREAMS_PER_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -174,16 +181,31 @@ def sample_origin_degree_mixture(
     cfg: SpatialConfig,
     dist: WeightDistribution,
     x0: float | None,
-    stream: np.random.Generator,
-) -> int:
-    """Origin degree drawn from its exact conditional Poisson law."""
-    origin_weight = float(x0) if x0 is not None else dist.sample(stream)
-    mu = cfg.lam * sphere_surface(cfg.d) * radial_intensity(cfg, dist, origin_weight)
-    return int(stream.poisson(mu))
+    streams,
+) -> np.ndarray:
+    """Origin degrees drawn from their exact conditional Poisson law, one
+    from each stream of the iterable ``streams``.
+
+    With ``x0`` fixed the rate is computed once and the streams are used one
+    at a time.  Otherwise the streams go in blocks of ``_STREAMS_PER_BATCH``:
+    each stream of a block draws its origin weight, one batched radial
+    quadrature gives the rates of all of them, and each stream then draws
+    its Poisson variate, so memory does not grow with the stream count.
+    """
+    if x0 is not None:
+        mu = origin_degree_rate(cfg, dist, float(x0))
+        return np.array([stream.poisson(mu) for stream in streams], dtype=float)
+    streams, degrees = iter(streams), []
+    while block := list(islice(streams, _STREAMS_PER_BATCH)):
+        weights = np.array([dist.sample(stream) for stream in block])
+        mus = origin_degree_rate(cfg, dist, weights).tolist()
+        degrees += [stream.poisson(mu) for stream, mu in zip(block, mus)]
+    return np.array(degrees, dtype=float)
 
 
-def origin_degree_rate(cfg: SpatialConfig, dist: WeightDistribution, x: float) -> float:
-    """Poisson parameter of the origin degree given the origin weight."""
+def origin_degree_rate(cfg: SpatialConfig, dist: WeightDistribution, x):
+    """Poisson parameter of the origin degree given the origin weight ``x``,
+    a float or an array (see :func:`radial_intensity`)."""
     return cfg.lam * sphere_surface(cfg.d) * radial_intensity(cfg, dist, x)
 
 
@@ -219,9 +241,10 @@ def standardized_origin_degree(
     cfg: SpatialConfig,
     dist: WeightDistribution,
     centering: float,
-    stream: np.random.Generator,
-) -> float:
-    """One sample of (degree - lam c_d Cr) / sqrt(lam c_d Cr).
+    streams,
+) -> np.ndarray:
+    """(degree - lam c_d Cr) / sqrt(lam c_d Cr) of the mixture origin degree
+    drawn from each stream.
 
     ``centering`` is the caller-supplied centering sequence value Cr (no
     general recipe exists; it is model-specific).
@@ -229,7 +252,7 @@ def standardized_origin_degree(
     if not centering > 0.0:
         raise DomainError("centering must be > 0")
     scale = cfg.lam * sphere_surface(cfg.d) * centering
-    delta = sample_origin_degree_mixture(cfg, dist, None, stream)
+    delta = sample_origin_degree_mixture(cfg, dist, None, streams)
     return (delta - scale) / math.sqrt(scale)
 
 
@@ -249,15 +272,15 @@ def _config_from_params(params: dict) -> tuple[SpatialConfig, WeightDistribution
 
 
 @register_experiment("spatial")
-def _spatial_experiment(params: dict, stream: np.random.Generator) -> float:
+def _spatial_experiment(params: dict, streams) -> list | np.ndarray:
     cfg, dist = _config_from_params(params)
     x0 = params.get("x0")
     if params.get("mode", "mixture") == "direct":
-        return float(sample_origin_degree_direct(cfg, dist, x0, stream))
-    return float(sample_origin_degree_mixture(cfg, dist, x0, stream))
+        return [sample_origin_degree_direct(cfg, dist, x0, stream) for stream in streams]
+    return sample_origin_degree_mixture(cfg, dist, x0, streams)
 
 
 @register_experiment("clt")
-def _clt_experiment(params: dict, stream: np.random.Generator) -> float:
+def _clt_experiment(params: dict, streams) -> np.ndarray:
     cfg, dist = _config_from_params(params)
-    return standardized_origin_degree(cfg, dist, float(params["Cr"]), stream)
+    return standardized_origin_degree(cfg, dist, float(params["Cr"]), streams)

@@ -12,6 +12,18 @@ avalanche of the pair (documented so the seed -> sample mapping is stable):
 Reports are therefore byte-identical for identical inputs.  Sample moments
 are reduced with exact summation (math.fsum) so the reduction order cannot
 perturb reported means.
+
+Experiments
+-----------
+A registered experiment is ``fn(params, streams) -> rows``: it is called
+once per campaign with the lazy sequence ``make_stream(s, i)`` for
+``i = 0 .. R-1`` and returns the R sample rows in stream order.  It parses
+``params`` once, and it draws replicate ``i``'s numbers from stream ``i``
+alone, in the order a single replicate would, so a row does not depend on
+the other streams.  Experiments that need nothing across replicates consume
+the streams one at a time, so no campaign holds all R generators; the
+spatial mixture holds one block of them at a time to evaluate the block's
+radial integrals in one batch.
 """
 
 from __future__ import annotations
@@ -112,7 +124,8 @@ def run_replicates(
 ) -> ReplicateReport:
     """Run ``replicates`` independent replicates of a named experiment.
 
-    Replicate ``i`` receives the stream derived from ``(master_seed, i)``.
+    The experiment is called once, and replicate ``i`` draws from the stream
+    derived from ``(master_seed, i)``; see the module docs.
     """
     if experiment not in _EXPERIMENTS:
         raise UsageError(
@@ -121,8 +134,8 @@ def run_replicates(
     if replicates < 1:
         raise DomainError("replicate count must be >= 1")
     fn, columns = _EXPERIMENTS[experiment]
-    rows = [fn(params, make_stream(master_seed, i)) for i in range(replicates)]
-    samples = np.asarray(rows, dtype=float)
+    streams = (make_stream(master_seed, i) for i in range(replicates))
+    samples = np.asarray(fn(params, streams), dtype=float)
     if samples.ndim == 1:
         mean, var, se = _column_moments(samples)
     else:

@@ -241,6 +241,7 @@ def test_import_does_not_load_scipy():
     (["limits", "--table", "h1", "--grid", "0"], "grid >= 1"),
     (["limits", "--table", "limit-cdf", "--grid", "0"], "grid >= 1"),
     (["limits", "--table", "degree-pmf", "--n", "-3"], "n >= 0"),
+    (["local", "--n", "10", "--R", "3", "--grid", "0"], "grid >= 1"),
 ])
 def test_small_inputs_name_their_minimum(tmp_path, capsys, args, minimum):
     cfg = tmp_path / "cfg.json"
@@ -251,6 +252,23 @@ def test_small_inputs_name_their_minimum(tmp_path, capsys, args, minimum):
     assert code == 2
     assert minimum in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_local_grid_flag_equals_config(tmp_path):
+    args = ["local", "--dist", "uniform:0,1", "--theta", "1", "--n", "30", "--R", "12",
+            "--seed", "2", "--out"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": 64}))
+    flag, config, coarse, default = (
+        tmp_path / f"{name}.json" for name in ("flag", "config", "coarse", "default"))
+    assert run(args + [str(flag), "--grid", "64"]) == 0
+    assert run(args + [str(config), "--config", str(cfg)]) == 0
+    assert flag.read_bytes() == config.read_bytes()
+    # the grid reaches the KS reference; the default stays 512
+    assert run(args + [str(coarse), "--grid", "2"]) == 0
+    assert run(args + [str(default)]) == 0
+    assert run(args + [str(flag), "--grid", "512"]) == 0
+    assert flag.read_bytes() == default.read_bytes() != coarse.read_bytes()
 
 
 @pytest.mark.parametrize("args", [
@@ -290,7 +308,7 @@ _SPACE = {"--d", "--beta", "--lambda", "--r"}
     ("pair", {"--n", "--R"}),
     ("triangles", {"--n"}),
     ("motif", {"--n", "--motif", "--density-samples"}),
-    ("local", {"--n", "--R"}),
+    ("local", {"--n", "--R", "--grid"}),
     ("limits", {"--n", "--table", "--grid"}),
     ("spatial", {"--R", "--mode", "--x0"} | _SPACE),
     ("clt-check", {"--R", "--Cr"} | _SPACE),

@@ -164,6 +164,30 @@ def test_quad_checked_values():
     assert dist.quad_checked(np.sin, 2.0, 2.0) == 0.0
 
 
+def test_quad_checked_mass_beyond_the_first_nodes():
+    # nearly all of the integral lies below the first level's smallest node
+    # (about 1.6e-3, where exp(-x / 3e-6) is 1e-226); the scale grows as
+    # bisection finds it, so the panels close instead of exhausting the budget
+    for eps in (1e-4, 1e-5, 3e-6):
+        value = dist.quad_checked(lambda x: np.exp(-x / eps), 0.0, 1.0)
+        assert value == pytest.approx(eps * -math.expm1(-1.0 / eps), rel=1e-13)
+
+
+@pytest.mark.parametrize("d", ALL_KINDS, ids=lambda d: d.kind)
+def test_sf_is_the_upper_tail(d):
+    lo, hi = d.support()
+    xs = np.linspace(lo - 1.0, (hi if math.isfinite(hi) else lo + 10.0) + 1.0, 97)
+    assert d.sf(xs) == pytest.approx(1.0 - d.cdf(xs), abs=1e-15)
+    assert d.sf(float(xs[40])) == pytest.approx(1.0 - d.cdf(float(xs[40])), abs=1e-15)
+
+
+def test_sf_keeps_far_tails():
+    # 1 - cdf rounds these tails to 0
+    assert dist.exponential(1.0).sf(40.0) == math.exp(-40.0)
+    assert dist.exponential(2.0).cdf(30.0) == 1.0
+    assert dist.pareto(1.0, 3.0).sf(1e6) == pytest.approx(1e-18, rel=1e-15)
+
+
 def test_quad_checked_nonfinite_integrand():
     with pytest.raises(NumericError, match="not finite"):
         dist.quad_checked(lambda s: np.where(s > 0.3, np.inf, 1.0), 0.0, 1.0)

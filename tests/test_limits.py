@@ -7,6 +7,8 @@ import mpmath
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threshnet import dist, limits
 from threshnet.errors import DegenerateConditioningError, DomainError
@@ -213,3 +215,90 @@ def test_edge_conditioned_correlation_degenerate_marginals():
 def test_edge_conditioned_correlation_no_edges():
     with pytest.raises(DegenerateConditioningError):
         limits.edge_conditioned_correlation(limits.LimitConfig(dist.point_mass(0.4), 1.0))
+
+
+def test_edge_conditioned_correlation_exponential_closed_form():
+    # exp:1 at theta = 1: phi(a) = e**(a - 1) below 1, the edge probability
+    # is 2/e, m1 = 1 - 1/(2e), m2 = 3/4 - 1/(4e**2) and m11 = 1.75/e.  The
+    # inner integral must split where phi reaches 1 (u = F(theta - 0)).
+    cov, corr = limits.edge_conditioned_correlation(
+        limits.LimitConfig(dist.exponential(1.0), 1.0))
+    e = mpmath.e
+    m1 = 1 - 1 / (2 * e)
+    exact_cov = mpmath.mpf(1.75) / e - m1**2
+    exact_corr = exact_cov / (mpmath.mpf(3) / 4 - 1 / (4 * e**2) - m1**2)
+    assert cov == pytest.approx(float(exact_cov), rel=1e-12, abs=0)
+    assert corr == pytest.approx(float(exact_corr), rel=1e-12, abs=0)
+
+
+# Parameters of each of the six weight kinds.
+_LAW_STRATEGIES = {
+    "uniform": st.tuples(st.floats(-2, 2), st.floats(0.05, 3)).map(
+        lambda t: dist.uniform(t[0], t[0] + t[1])),
+    "exponential": st.floats(0.1, 5).map(dist.exponential),
+    "pareto": st.tuples(st.floats(0.2, 3), st.floats(0.3, 5)).map(
+        lambda t: dist.pareto(*t)),
+    "two_point": st.tuples(st.floats(-1, 2), st.floats(0.01, 0.99), st.floats(0.01, 2)).map(
+        lambda t: dist.two_point(t[0], t[1], t[0] + t[2])),
+    "discrete": st.lists(st.tuples(st.floats(-1, 3), st.integers(1, 9)), min_size=1,
+                         max_size=5, unique_by=lambda atom: atom[0]).map(
+        lambda atoms: dist.finite_discrete(
+            [(x, w / sum(w for _, w in atoms)) for x, w in atoms])),
+    "point": st.floats(-2, 2).map(dist.point_mass),
+}
+_THETAS = st.floats(-1, 4)
+
+
+def _degree_pmf_sum_error(cfg: limits.LimitConfig, n: int) -> float:
+    return abs(math.fsum(limits.degree_pmf(cfg, n, k) for k in range(n + 1)) - 1.0)
+
+
+@pytest.mark.parametrize("kind", sorted(_LAW_STRATEGIES))
+def test_degree_pmf_sums_to_one_property(kind):
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(_LAW_STRATEGIES[kind], _THETAS, st.integers(0, 20))
+    def check(law, theta, n):
+        assert _degree_pmf_sum_error(limits.LimitConfig(law, theta), n) <= 1e-12
+
+    check()
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "expectation certifies a value off by ~1e-6 relative when the kink of "
+    "sf(theta - x) at x = 0 falls beside a panel edge of one pass (k = 18 is "
+    "off by -9.6e-7; the sum by -2.25e-9); see the FOUND item on "
+    "dist.expectation in CHANGES.md"))
+def test_degree_pmf_sums_to_one_kink_beside_a_panel_edge():
+    cfg = limits.LimitConfig(dist.exponential(1.0321240099181628), 3.2297165924301696)
+    assert _degree_pmf_sum_error(cfg, 20) <= 1e-12
+
+
+@pytest.mark.parametrize("rate, theta, n", [(4.0, 3.0, 6), (5.0, 4.0, 1), (2.5, 2.5, 40)])
+def test_degree_pmf_exponential_far_tail(rate, theta, n):
+    # P(edge | x) = exp(-rate (theta - x)) lies far below 1e-5 for most x:
+    # 1 - cdf loses it to rounding, and most of each pmf's mass sits near
+    # x = theta, beyond the first quadrature nodes
+    cfg = limits.LimitConfig(dist.exponential(rate), theta)
+    r, t = mpmath.mpf(rate), mpmath.mpf(theta)
+    for k in range(n + 1):
+        def density(x):
+            p = mpmath.exp(-r * (t - x))
+            return mpmath.binomial(n, k) * p**k * (1 - p) ** (n - k) * r * mpmath.exp(-r * x)
+
+        exact = mpmath.quad(density, [0, t / 2, t]) + (mpmath.exp(-r * t) if k == n else 0)
+        assert limits.degree_pmf(cfg, n, k) == pytest.approx(float(exact), rel=1e-11)
+
+
+@pytest.mark.parametrize("kind", sorted(_LAW_STRATEGIES))
+def test_limit_degree_cdf_is_a_cdf_property(kind):
+    ts = np.linspace(-0.1, 1.1, 61).tolist()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_LAW_STRATEGIES[kind], _THETAS)
+    def check(law, theta):
+        cfg = limits.LimitConfig(law, theta)
+        values = [limits.limit_degree_cdf(cfg, t) for t in ts]
+        assert all(0.0 <= v <= 1.0 for v in values)
+        assert all(a <= b for a, b in zip(values, values[1:]))
+
+    check()

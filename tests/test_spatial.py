@@ -279,12 +279,11 @@ def test_standardized_pipeline_pure_poisson_clt():
 def test_mixture_sampler_zero_rate():
     # origin weight so low that no radius can connect: rate 0, degree 0
     assert spatial.radial_intensity(CFG, UNI, -5.0) == 0.0
-    assert all(
-        spatial.sample_origin_degree_mixture(CFG, UNI, -5.0, make_stream(6, i)) == 0
-        for i in range(20)
-    )
+    streams = (make_stream(6, i) for i in range(20))
+    degrees = spatial.sample_origin_degree_mixture(CFG, UNI, -5.0, streams)
+    assert degrees.shape == (20,) and (degrees == 0).all()
 
 
 def test_standardized_centering_validation():
     with pytest.raises(DomainError):
-        spatial.standardized_origin_degree(CFG, UNI, 0.0, make_stream(1))
+        spatial.standardized_origin_degree(CFG, UNI, 0.0, [make_stream(1)])

@@ -8,7 +8,7 @@ import pytest
 import scipy.special
 import scipy.stats
 
-from threshnet import dist, stats
+from threshnet import dist, graph, spatial, stats
 from threshnet.errors import DomainError, UsageError
 
 
@@ -43,6 +43,115 @@ def test_run_replicates_errors():
         stats.run_replicates("nope", {}, 1, 0)
     with pytest.raises(DomainError):
         stats.run_replicates("degree", {"dist": "uniform:0,1", "theta": 1, "n": 5}, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# experiments take a campaign's streams in one call
+
+
+def _reference_row(experiment: str, params: dict, stream):
+    """One replicate of an experiment on its own stream, written per
+    replicate: the reference that the batch forms must equal bit for bit."""
+    law = dist.parse_dist(params["dist"])
+    theta = float(params["theta"])
+    if experiment == "pair":
+        n = int(params["n"])
+        d1, d2, edge = graph.tagged_pair_degrees(law, n, theta, stream)
+        return d1 / n, d2 / n, 1.0 if edge else 0.0
+    cfg = spatial.SpatialConfig(d=int(params["d"]), beta=float(params["beta"]),
+                                theta=theta, lam=float(params["lam"]),
+                                r=float(params["r"]))
+    x0 = params.get("x0")
+    if params.get("mode") == "direct":
+        return float(spatial.sample_origin_degree_direct(cfg, law, x0, stream))
+    origin_weight = float(x0) if x0 is not None else law.sample(stream)
+    mu = cfg.lam * spatial.sphere_surface(cfg.d) * spatial.radial_intensity(
+        cfg, law, origin_weight)
+    delta = int(stream.poisson(mu))
+    if experiment == "spatial":
+        return float(delta)
+    scale = cfg.lam * spatial.sphere_surface(cfg.d) * float(params["Cr"])
+    return (delta - scale) / math.sqrt(scale)
+
+
+_KINDS = ["uniform:0,1", "exp:1", "pareto:1,3", "twopoint:0.2,0.5,0.9",
+          "discrete:0.1:0.25,0.5:0.5,1.1:0.25", "point:0.7"]
+_SPACE = {"theta": 1.0, "d": 2, "beta": 2.0, "lam": 1.0}
+_CAMPAIGNS = (
+    # mixture with a random origin on every kind, at a finite and an
+    # infinite radius (whose unbounded integrals run as a head and a tail)
+    [("spatial", dict(_SPACE, dist=law, r=r, mode="mixture"))
+     for law in _KINDS for r in (3.0, math.inf)]
+    + [("spatial", dict(_SPACE, dist="exp:1", r=3.0, mode="mixture", x0=0.4)),
+       ("spatial", dict(_SPACE, dist="exp:1", r=4.0, mode="direct")),
+       ("spatial", dict(_SPACE, dist="uniform:0,1", r=4.0, mode="direct", x0=0.3)),
+       ("clt", {"dist": "pareto:1,1", "theta": 1.0, "d": 2, "beta": 1.0, "lam": 1.0,
+                "r": 10000.0, "Cr": 10000.0}),
+       ("clt", dict(_SPACE, dist="uniform:0,1", r=3.0, Cr=0.75)),
+       ("pair", {"dist": "uniform:0,1", "theta": 1.0, "n": 50})]
+)
+
+
+@pytest.mark.parametrize("seed", [0, 2024])
+@pytest.mark.parametrize("experiment, params", _CAMPAIGNS,
+                         ids=[f"{e}-{i}" for i, (e, _) in enumerate(_CAMPAIGNS)])
+def test_batch_experiments_equal_per_stream_reference(experiment, params, seed):
+    rep = stats.run_replicates(experiment, params, 7, seed)
+    reference = [_reference_row(experiment, params, stats.make_stream(seed, i))
+                 for i in range(7)]
+    assert rep.samples.tolist() == np.asarray(reference, dtype=float).tolist()
+
+
+@pytest.mark.parametrize("law", _KINDS)
+def test_mixture_streams_go_in_blocks(monkeypatch, law):
+    # R = 7 in blocks of 3: one batched rate call per block, the same rows
+    sizes = []
+    rate = spatial.origin_degree_rate
+
+    def counted(cfg, dist, x):
+        sizes.append(np.size(x))
+        return rate(cfg, dist, x)
+
+    monkeypatch.setattr(spatial, "_STREAMS_PER_BATCH", 3)
+    monkeypatch.setattr(spatial, "origin_degree_rate", counted)
+    params = dict(_SPACE, dist=law, r=math.inf, mode="mixture")
+    rep = stats.run_replicates("spatial", params, 7, 5)
+    assert sizes == [3, 3, 1]
+    reference = [_reference_row("spatial", params, stats.make_stream(5, i))
+                 for i in range(7)]
+    assert rep.samples.tolist() == reference
+
+
+@pytest.mark.parametrize("experiment, params", [
+    ("degree", {"dist": "uniform:0,1", "theta": 1.0, "n": 20}),
+    ("pair", {"dist": "uniform:0,1", "theta": 1.0, "n": 20}),
+    ("triangles", {"dist": "uniform:0,1", "theta": 1.0, "n": 20}),
+    ("local", {"dist": "uniform:0,1", "theta": 1.0, "n": 20}),
+    ("spatial", dict(_SPACE, dist="exp:1", r=3.0, mode="mixture")),
+    ("spatial", dict(_SPACE, dist="exp:1", r=3.0, mode="mixture", x0=0.5)),
+    ("spatial", dict(_SPACE, dist="exp:1", r=3.0, mode="direct")),
+    ("clt", dict(_SPACE, dist="exp:1", r=3.0, Cr=1.0)),
+])
+def test_experiments_parse_the_law_once_per_campaign(monkeypatch, experiment, params):
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return dist.parse_dist(spec)
+
+    monkeypatch.setattr(graph, "parse_dist", counted)
+    monkeypatch.setattr(spatial, "parse_dist", counted)
+    assert stats.run_replicates(experiment, params, 7, 1).samples.shape[0] == 7
+    assert calls == [params["dist"]]
+
+
+def test_clt_rejects_zero_centering_before_any_stream(monkeypatch):
+    made = []
+    monkeypatch.setattr(stats, "make_stream", lambda *a: made.append(a))
+    params = dict(_SPACE, dist="uniform:0,1", r=3.0, Cr=0.0)
+    with pytest.raises(DomainError, match=r"^centering must be > 0$"):
+        stats.run_replicates("clt", params, 7, 0)
+    assert made == []
 
 
 # ---------------------------------------------------------------------------
