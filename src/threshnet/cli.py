@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import graph, limits, motifs, spatial, stats
-from .dist import check_split_support, expectation, parse_dist
+from .dist import check_split_support, parse_dist
 from .errors import (
     CapacityError,
     DegenerateConditioningError,
@@ -337,10 +337,7 @@ def _cmd_spatial(cfg: dict) -> None:
         report.extras["conditional_poisson_rate"] = rate
     else:
         try:
-            mean = scfg.lam * spatial.sphere_surface(scfg.d) * expectation(
-                lcfg.dist, lambda x: spatial.radial_intensity(scfg, lcfg.dist, x)
-            )
-            report.extras["mean_identity"] = mean
+            report.extras["mean_identity"] = spatial.mean_origin_degree(scfg, lcfg.dist)
         except (RegimeError, NumericError):
             report.extras["mean_identity"] = None
     _write_report(cfg, report.to_dict(), report.samples, report.columns)

@@ -25,13 +25,13 @@ through the upper-tail quantile, so no node rounds onto ``u = 1`` and
 finite tail moments of unbounded laws stay finite.
 
 One integrator does all the quadrature: :func:`quad_checked`, composite
-21-node Gauss-Legendre panels on ``[lo, hi]`` (with ``hi`` possibly
-infinite) that start at the caller's breakpoints and are refined by halving,
-every level in one call of the integrand.  Given arrays of bounds it
-integrates all rows in one batch, each row exactly as a call of its own.
-:func:`expectation` runs it on two seed partitions of (0, 1) in one batch
-and certifies the value by their agreement; the oracles in ``limits`` and
-``spatial`` call it for their inner integrals.
+21-node Gauss-Legendre panels on a finite ``[lo, hi]`` that start at the
+caller's breakpoints and are refined by halving, every level in one call of
+the integrand.  Given arrays of bounds it integrates all rows in one batch,
+each row exactly as a call of its own.  :func:`expectation` runs it on two
+seed partitions of (0, 1) in one batch and certifies the value by their
+agreement; the oracles in ``limits`` and ``spatial`` call it for their inner
+integrals.  An unbounded range is always integrated in quantile space.
 
 Every integrand is elementwise: it maps an array of points to an array of
 values (a constant is broadcast), and its value at a point must not depend
@@ -415,9 +415,8 @@ def quad_checked(f, lo, hi, *, points=None, args=(), limit: int = 256):
     in ``args`` holds one value per row, gathered onto that row's nodes, so
     ``f`` is called as ``f(nodes, *(a[row] for a in args))``.
 
-    ``lo`` must be finite; ``hi`` may be ``inf``, in which case
-    ``s = lo + t/(1 - t)`` maps the range onto ``t in [0, 1)``.  A row's
-    first panels run between its breakpoints that lie inside (lo, hi).
+    ``lo`` and ``hi`` must be finite.  A row's first panels run between its
+    breakpoints that lie inside (lo, hi).
     Each level evaluates every open panel's halves (and, at the first level,
     the panel itself) of every row in one call of ``f``; a panel closes when
     whole and halves agree within its width's share of 1e-11 times its
@@ -431,7 +430,8 @@ def quad_checked(f, lo, hi, *, points=None, args=(), limit: int = 256):
     that row alone bit for bit.  Raises NumericError, naming the row's span, on a
     non-finite integrand value, when a row needs more than ``limit`` panels,
     or when a row's summed error estimate exceeds 1e-6 of its integral of
-    |f|.  Returns a float for scalar ``lo`` and ``hi``, else an array.
+    |f|, and DomainError on an infinite bound or ``lo > hi``.  Returns a
+    float for scalar ``lo`` and ``hi``, else an array.
     """
     scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
     los, his = (v.tolist() for v in np.broadcast_arrays(
@@ -443,29 +443,21 @@ def quad_checked(f, lo, hi, *, points=None, args=(), limit: int = 256):
     def span(i):
         return f"[{los[i]}, {his[i]}]"
 
-    # Each row's first panels run between its cuts; an infinite row is
-    # integrated in t on [0, 1) from its own lo.
-    a0, b0, rows0, budget, width = [], [], [], [0] * m, [1.0] * m
+    # each row's first panels run between its cuts
+    a0, b0, rows0, budget = [], [], [], [0] * m
     for i, (l, h) in enumerate(zip(los, his)):
-        if not (math.isfinite(l) and l <= h):
+        if not (math.isfinite(l) and math.isfinite(h) and l <= h):
             raise DomainError(f"quadrature needs a finite lo <= hi, got {span(i)}")
         if l == h:
             continue
         cuts = sorted({p for p in cut_rows[i] if l < p < h})
         budget[i] = max(limit, 2 * len(cuts) + 16)
-        if math.isinf(h):
-            cuts = [(p - l) / (1.0 + p - l) for p in cuts]
-            l, h = 0.0, 1.0
-        width[i] = h - l
         a0 += [l, *cuts]
         b0 += [*cuts, h]
         rows0 += [i] * (len(cuts) + 1)
     values = np.zeros(m)
     if not a0:
         return float(values[0]) if scalar else values
-    s0 = np.array(los)
-    infinite = np.isinf(his)
-    mapping = bool(infinite.any())
     extra = [np.asarray(arg) for arg in args]
     nodes_per_panel = _GL_NODES.size
 
@@ -474,20 +466,11 @@ def quad_checked(f, lo, hi, *, points=None, args=(), limit: int = 256):
         # call of f on the array of all their nodes.
         half = 0.5 * (ends - starts)
         t = (starts + half)[:, None] + half[:, None] * _GL_NODES
-        s = t
-        if mapping:
-            on_t = infinite[rows]
-            rest = 1.0 - t[on_t]
-            s = t.copy()
-            s[on_t] = s0[rows[on_t]][:, None] + t[on_t] / rest
         vals = np.asarray(
-            f(s.ravel(), *(np.repeat(arg[rows], nodes_per_panel) for arg in extra)),
+            f(t.ravel(), *(np.repeat(arg[rows], nodes_per_panel) for arg in extra)),
             dtype=float,
         )
         vals = np.broadcast_to(vals, t.size).reshape(t.shape)
-        if mapping:
-            vals = vals.copy()
-            vals[on_t] /= rest * rest
         if not np.isfinite(vals).all():
             k = int(np.flatnonzero(~np.isfinite(vals))[0])
             raise NumericError(f"integrand not finite at node {t.flat[k]} of "
@@ -502,7 +485,7 @@ def quad_checked(f, lo, hi, *, points=None, args=(), limit: int = 256):
     est, mass = panels(np.concatenate([a, a, mid]), np.concatenate([b, mid, b]),
                        np.concatenate([row, row, row]))
     whole, est, halves = est[:n], est[n:], mass[n:]
-    width, budget = np.array(width), np.array(budget)
+    width, budget = np.subtract(his, los), np.array(budget)
     n_kept = np.zeros(m, dtype=np.int64)
     # each row's integral of |f|, the largest of its levels' estimates
     scale, kept_mass = np.zeros(m), np.zeros(m)

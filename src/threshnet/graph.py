@@ -28,10 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dist import WeightDistribution, parse_dist
-from .errors import CapacityError, DomainError
+from .errors import DomainError
 from .stats import register_experiment
 
-EDGE_LIST_CAP = 1_000_000
 # Sorted positions per block of count_triangles: bounds its temporaries.
 _TRIANGLE_BLOCK = 2**16
 
@@ -73,19 +72,6 @@ def all_degrees(g: GraphSample) -> np.ndarray:
 
 def edge_count(g: GraphSample) -> int:
     return int(all_degrees(g).sum(dtype=np.int64)) // 2
-
-
-def edge_list(g: GraphSample, cap: int = EDGE_LIST_CAP) -> list[tuple[int, int]]:
-    """All edges as 1-based (i, j) pairs with i < j, lexicographically sorted."""
-    m = edge_count(g)
-    if m > cap:
-        raise CapacityError(f"edge list has {m} edges, exceeding the cap of {cap}")
-    w = g.weights
-    pairs: list[tuple[int, int]] = []
-    for i in range(g.n - 1):
-        js = np.nonzero(w[i + 1 :] + w[i] > g.theta)[0]
-        pairs.extend((i + 1, int(j) + i + 2) for j in js)
-    return pairs
 
 
 def _first_adjacent(sw: np.ndarray, theta: float, q: np.ndarray | None = None) -> np.ndarray:

@@ -3,13 +3,14 @@ edges to the origin.
 
 A point at distance s connects to the origin (weight x) iff
 ``x + X > theta * s**beta``, so the origin's degree inside radius r is, given
-x, Poisson with parameter ``lam * surface_d * integral_0^r s**(d-1) *
-(1 - F(theta * s**beta - x)) ds`` (thinning).  The mixture sampler draws the
-degree directly from that law; the direct sampler materializes the point
-cloud.  Both are distributionally identical, and the mixture path is O(1) in
-the radius.  The mixture sampler takes a campaign's streams together, so
-the radial integrals of its random origin weights run as batched
-quadratures, one per block of ``_STREAMS_PER_BATCH`` streams.
+x, Poisson with parameter ``lam * surface_d * C_r(x)`` (thinning), where
+``C_r(x) = E[psi(x + X)]`` and psi(z) is the measure ``s**(d-1) ds`` of the
+radii a weight sum z reaches.  The mixture sampler draws the degree directly
+from that law; the direct sampler materializes the point cloud.  Both are
+distributionally identical, and the mixture path is O(1) in the radius.  The
+mixture sampler takes a campaign's streams together, so the intensities of
+its random origin weights are computed in batches, one per block of
+``_STREAMS_PER_BATCH`` streams.
 
 Only the radial coordinate of a point ever enters the connection rule, so
 the direct sampler draws radii (``r * U**(1/d)``) and never materializes
@@ -32,9 +33,8 @@ from .errors import CapacityError, DomainError, RegimeError
 from .stats import register_experiment
 
 DIRECT_POINT_CAP = 100_000_000
-# Streams per batched radial quadrature of the mixture sampler.  Its node
-# arrays take about 7 KB per stream (11 KB at r = inf, a head and a tail),
-# so a block bounds them at about 3 MB whatever the replicate count.
+# Streams per batch of the mixture sampler.  A law without a closed form takes two
+# quadrature rows per stream, about 14 KB of node arrays, so 3.5 MB a block at most.
 _STREAMS_PER_BATCH = 256
 
 
@@ -75,22 +75,17 @@ def ball_volume(d: int, r: float) -> float:
 def radial_intensity(
     cfg: SpatialConfig, dist: WeightDistribution, x, r: float | None = None
 ):
-    """The radial integral C_r(x) = int_0^r s**(d-1) (1 - F(theta s**beta - x)) ds.
-
-    ``r`` defaults to the config radius and may be ``inf`` for the limiting
-    value.  For bounded-support laws the integrand vanishes beyond the cutoff
-    radius ``((sup support + x) / theta)**(1/beta)``, which is split (or used
-    to truncate) exactly.  ``x`` may be a float (cached) or an array, whose
-    values are integrated in one batched quadrature.
-    """
-    if r is None:
-        r = cfg.r
+    """C_r(x) = int_0^r s**(d-1) P(x + X > theta s**beta) ds, by Fubini the
+    weight expectation E[psi(x + X)] of :func:`_psi`, at radius ``r`` (default
+    the config radius; ``inf`` raises RegimeError where the limit diverges).
+    ``x`` is a float (cached) or an array, computed in one batch."""
+    r = cfg.r if r is None else r
     if not r > 0.0:
         raise DomainError("radius must be > 0")
+    if math.isinf(r):
+        _require_finite_limit(cfg, dist)
     if np.ndim(x) == 0:
-        return _radial_intensity_cached(
-            cfg.d, cfg.beta, cfg.theta, dist, float(x), float(r)
-        )
+        return _radial_intensity_cached(cfg.d, cfg.beta, cfg.theta, dist, float(x), float(r))
     xs = np.asarray(x, dtype=float)
     values = _radial_intensity_rows(cfg.d, cfg.beta, cfg.theta, dist, xs.ravel(), float(r))
     return values.reshape(xs.shape)
@@ -103,51 +98,86 @@ def _radial_intensity_cached(
     return float(_radial_intensity_rows(d, beta, theta, dist, np.array([x]), r)[0])
 
 
+def _psi(z, d: int, beta: float, theta: float, r: float, integral: bool = False):
+    """psi(z), the measure s**(d-1) ds of the set {s <= r : theta * s**beta < z}:
+    [0, w) where theta * s**beta increases in s, (w, r] where it decreases, all
+    or nothing where theta * beta = 0.  With ``integral``, an antiderivative of
+    psi: z psi(z) less the integral of theta * s**beta over the set."""
+    if theta * beta == 0.0:
+        full = r**d / d
+        return full * np.maximum(z - theta, 0.0) if integral else np.where(z > theta, full, 0.0)
+    rb, sign = r**beta, math.copysign(1.0, theta * beta)
+    p = np.clip(z / theta, 0.0, rb) if beta > 0.0 else np.maximum(z / theta, rb)  # w**beta
+    head = p ** (d / beta) / d  # the measure of [0, w)
+    psi = head if sign > 0.0 else rb ** (d / beta) / d - head
+    if not integral:
+        return psi
+    moved = theta * (np.log(p) / beta if d + beta == 0.0 else p * head * d / (d + beta))
+    return z * psi - sign * moved
+
+
 def _radial_intensity_rows(
     d: int, beta: float, theta: float, dist: WeightDistribution, xs, r: float
 ) -> np.ndarray:
-    """C_r at every weight of the 1-D array ``xs``.  Each weight contributes
-    one integral, or a head and a tail when its range is unbounded, and all
-    of them run in one call of :func:`quad_checked`."""
-
-    def integrand(s, x):
-        return s ** (d - 1) * (1.0 - dist.cdf(theta * s**beta - x))
-
-    lo_s, hi_s = dist.support()
-    atoms = [atom for atom, _ in dist.atoms()] if dist.is_discrete else []
-    rows = []  # (index into xs, lo, hi, breakpoints) of each integral
-    for i, x in enumerate(xs.tolist()):
-        upper = r
-        breakpoints = []
-        if theta > 0.0 and beta > 0.0:
-            if math.isfinite(hi_s):
-                cut = hi_s + x
-                upper = min(upper, (cut / theta) ** (1.0 / beta)) if cut > 0.0 else 0.0
-            flat = lo_s + x  # below this radius the integrand is s**(d-1) exactly
-            if flat > 0.0:
-                breakpoints.append((flat / theta) ** (1.0 / beta))
-            # the survival factor jumps where theta * s**beta - x crosses an atom
-            for atom in atoms:
-                if atom + x > 0.0:
-                    breakpoints.append(((atom + x) / theta) ** (1.0 / beta))
-        if upper <= 0.0:
-            continue
-        if math.isinf(upper):
-            split = max([1.0] + [b for b in breakpoints if math.isfinite(b)])
-            rows += [(i, 0.0, split, breakpoints), (i, split, math.inf, [])]
-        else:
-            rows.append((i, 0.0, upper, breakpoints))
-    values = np.zeros(xs.size)
-    if rows:
-        index, lo, hi, cuts = zip(*rows)
-        points = np.full((len(rows), max(map(len, cuts))), np.nan)
-        for j, row_cuts in enumerate(cuts):
-            points[j, : len(row_cuts)] = row_cuts
-        index = np.array(index)
-        parts = quad_checked(integrand, np.array(lo), np.array(hi), points=points,
-                             args=(xs[index],))
-        np.add.at(values, index, parts)  # a head plus its tail
+    """C_r = E[psi(x + X)] at each weight of the 1-D array ``xs``: exact for atoms
+    and uniform, else :func:`_exponential_rows` or :func:`_quantile_rows`."""
+    if dist.is_discrete:
+        vals, probs = (np.array(column) for column in zip(*dist.atoms()))
+        terms = (_psi(xs[:, None] + vals, d, beta, theta, r) * probs).tolist()
+        values = np.array([math.fsum(row) for row in terms])
+    elif dist.kind == "uniform":
+        a, b = dist.params
+        upper, lower = (_psi(xs + e, d, beta, theta, r, integral=True) for e in (b, a))
+        values = (upper - lower) / (b - a)
+    else:
+        values = np.full(xs.size, np.nan)
+        if dist.kind == "exponential" and theta > 0.0 and beta > 0.0 and (d / beta).is_integer():
+            values = _exponential_rows(d, beta, theta, dist.params[0], xs, r)
+        rest = np.isnan(values)
+        values[rest] = _quantile_rows(d, beta, theta, dist, xs[rest], r)
     return np.maximum(values, 0.0)
+
+
+def _exponential_rows(d: int, beta: float, theta: float, rate: float, xs, r: float):
+    """C_r under exp(rate) at theta, beta > 0 and an integer k = d / beta:
+    psi(x) plus ``scale`` times the finite-sum incomplete gamma, the integral
+    of t**(k-1) exp(rate x - t) / (k-1)! over t = rate * theta * s**beta from
+    rate * max(x, 0) to rate * theta * r**beta; NaN where the sums cancel."""
+    k, start = round(d / beta), rate * np.maximum(xs, 0.0)
+    # t at both ends, r = inf standing as the largest float (its sum is 0)
+    t = np.stack([start, np.maximum(start, min(rate * theta * r**beta, np.finfo(float).max))])
+    # exp(rate x - t) * sum_{j<k} t**j / j!, a sum of positive terms
+    head, end = np.cumprod([np.exp(rate * xs - t)] + [t / j for j in range(1, k)], axis=0).sum(0)
+    scale = math.factorial(k - 1) / (beta * (rate * theta) ** k)
+    values = _psi(xs, d, beta, theta, r) + scale * (head - end)
+    return np.where(2 * k * np.finfo(float).eps * scale * head > 1e-12 * values, np.nan, values)
+
+
+def _quantile_rows(
+    d: int, beta: float, theta: float, dist: WeightDistribution, xs, r: float
+) -> np.ndarray:
+    """E[psi(x + X)] for a continuous law in one batched :func:`quad_checked`:
+    rows in u and v = 1 - u on [0, 1/2] as in :func:`expectation`, cut where x + X
+    crosses 0, theta * r**beta and theta.  At r = inf under pareto(c, alpha), psi
+    grows like v**-g, g = d / (beta alpha) < 1, so that row runs in v**(1 - g)."""
+    heavy = dist.kind == "pareto" and math.isinf(r)
+    power = 1.0 / (1.0 - d / (beta * dist.params[1])) if heavy else 1.0
+
+    def integrand(t, x, upper):
+        w, jacobian = np.empty_like(t), np.ones_like(t)
+        w[~upper] = dist._ppf(t[~upper])
+        w[upper] = dist._isf(t[upper] ** power)
+        jacobian[upper] = power * t[upper] ** (power - 1.0)
+        return jacobian * _psi(x + w, d, beta, theta, r)
+
+    kinks = np.stack([-xs, theta * r**beta - xs, theta - xs], axis=1)
+    m = xs.size
+    halves = quad_checked(
+        integrand, np.zeros(2 * m), np.repeat([0.5, 0.5 ** (1.0 / power)], m),
+        points=np.concatenate([dist.cdf(kinks), dist.sf(kinks) ** (1.0 / power)]),
+        args=(np.tile(xs, 2), np.repeat([False, True], m)),
+    )
+    return halves[:m] + halves[m:]
 
 
 def sample_origin_degree_direct(
@@ -188,9 +218,9 @@ def sample_origin_degree_mixture(
 
     With ``x0`` fixed the rate is computed once and the streams are used one
     at a time.  Otherwise the streams go in blocks of ``_STREAMS_PER_BATCH``:
-    each stream of a block draws its origin weight, one batched radial
-    quadrature gives the rates of all of them, and each stream then draws
-    its Poisson variate, so memory does not grow with the stream count.
+    each stream of a block draws its origin weight, one batched intensity
+    call gives the rates of all of them, and each stream then draws its
+    Poisson variate, so memory does not grow with the stream count.
     """
     if x0 is not None:
         mu = origin_degree_rate(cfg, dist, float(x0))
@@ -210,10 +240,8 @@ def origin_degree_rate(cfg: SpatialConfig, dist: WeightDistribution, x):
 
 
 def _require_finite_limit(cfg: SpatialConfig, dist: WeightDistribution) -> None:
-    if cfg.theta <= 0.0:
-        raise RegimeError(
-            "the limiting intensity integral diverges for theta <= 0"
-        )
+    if not (cfg.theta > 0.0 and cfg.beta > 0.0):
+        raise RegimeError("the limiting intensity integral diverges for theta <= 0 or beta <= 0")
     if not dist.has_finite_abs_moment(cfg.d / cfg.beta):
         raise RegimeError(
             f"E[|X|**(d/beta)] = E[|X|**{cfg.d / cfg.beta:g}] is infinite, so "
@@ -222,11 +250,16 @@ def _require_finite_limit(cfg: SpatialConfig, dist: WeightDistribution) -> None:
         )
 
 
+def mean_origin_degree(cfg: SpatialConfig, dist: WeightDistribution) -> float:
+    """Mean origin degree over a random origin weight, lam c_d E[C_r(X)]."""
+    mean = expectation(dist, lambda x: radial_intensity(cfg, dist, x))
+    return cfg.lam * sphere_surface(cfg.d) * mean
+
+
 def origin_degree_pmf(cfg: SpatialConfig, dist: WeightDistribution, k: int) -> float:
     """Limiting origin-degree pmf: a mixed Poisson over the weight law."""
     if k < 0:
         raise DomainError("k must be >= 0")
-    _require_finite_limit(cfg, dist)
 
     def pmf(x):  # the Poisson pmf at k of each weight's limiting mean
         mean = cfg.lam * sphere_surface(cfg.d) * radial_intensity(cfg, dist, x, math.inf)

@@ -139,6 +139,20 @@ def test_capacity_error_exit_code(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--d", "2", "--beta", "0", "--theta", "1", "--dist", "uniform:0,1"], "beta <= 0"),
+    (["--d", "2", "--beta", "-1", "--theta", "1", "--dist", "uniform:0,1"], "beta <= 0"),
+    (["--d", "3", "--beta", "0.5", "--theta", "0.8", "--dist", "pareto:1,1"], "E[|X|**6]"),
+])
+def test_divergent_limit_exit_code(tmp_path, capsys, args, message):
+    out = tmp_path / "s.json"
+    code = run(["spatial", "--mode", "mixture", "--lambda", "1", "--r", "inf", "--R", "5",
+                *args, "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -153,9 +153,8 @@ def test_expectation_strong_tail_singularity():
 
 def test_quad_checked_values():
     assert dist.quad_checked(np.sin, 0.0, math.pi) == pytest.approx(2.0, rel=1e-13)
-    assert dist.quad_checked(lambda s: np.exp(-s), 1.0, math.inf) == pytest.approx(
-        math.exp(-1.0), rel=1e-13
-    )
+    with pytest.raises(DomainError):  # unbounded ranges go through quantile space
+        dist.quad_checked(lambda s: np.exp(-s), 1.0, math.inf)
     # a kink on a breakpoint, a constant integrand, an empty range
     assert dist.quad_checked(
         lambda s: np.abs(s - 0.3), 0.0, 1.0, points=[0.3, 2.0]
@@ -208,8 +207,9 @@ def test_quad_checked_domain():
 
 
 def test_quad_checked_batch_equals_rows():
-    # finite rows, infinite rows, empty rows, per-row breakpoints (NaN
-    # padded) and a per-row parameter: each row equals its own call exactly
+    # finite rows, empty rows, per-row breakpoints (NaN padded) and a
+    # per-row parameter: each row equals its own call exactly; a batch with
+    # infinite rows is refused
     lo = np.array([0.0, 0.5, 1.0, 0.3, 2.0, 0.0])
     hi = np.array([1.0, math.inf, 1.0, 4.0, math.inf, 0.7])
     points = np.array([
@@ -226,15 +226,19 @@ def test_quad_checked_batch_equals_rows():
     def f(s, c, k):
         return k * (np.abs(s - c) + np.sin(7.0 * s * s)) * np.exp(-s)
 
-    batch = dist.quad_checked(f, lo, hi, points=points, args=(c, k))
+    with pytest.raises(DomainError, match=r"\[0.5, inf\]"):
+        dist.quad_checked(f, lo, hi, points=points, args=(c, k))
+    finite = np.isfinite(hi)
+    flo, fhi, fpoints, fc, fk = (a[finite] for a in (lo, hi, points, c, k))
+    batch = dist.quad_checked(f, flo, fhi, points=fpoints, args=(fc, fk))
     rows = [
-        dist.quad_checked(lambda s, i=i: f(s, c[i], k[i]), lo[i], hi[i],
-                          points=[p for p in points[i] if not math.isnan(p)])
-        for i in range(lo.size)
+        dist.quad_checked(lambda s, i=i: f(s, fc[i], fk[i]), flo[i], fhi[i],
+                          points=[p for p in fpoints[i] if not math.isnan(p)])
+        for i in range(flo.size)
     ]
-    assert isinstance(rows[0], float) and batch.shape == lo.shape
+    assert isinstance(rows[0], float) and batch.shape == flo.shape
     assert batch.tolist() == rows
-    assert batch[2] == 0.0
+    assert batch[1] == 0.0  # the empty row [1.0, 1.0]
     # 1-D breakpoints shared by every row
     shared = dist.quad_checked(np.sin, lo, hi.clip(max=5.0), points=[0.6, 1.5])
     assert shared.tolist() == [

@@ -121,6 +121,93 @@ def test_radial_intensity_limit_against_mpmath(law, d, beta, survival, lower):
             assert value == pytest.approx(float(exact), rel=1e-10)
 
 
+def _mp_survival(law, y):
+    """P(X > y) in mpmath arithmetic."""
+    if law.kind == "uniform":
+        a, b = law.params
+        return min(max((b - y) / (b - a), 0), 1)
+    if law.kind == "exponential":
+        return mpmath.exp(-law.params[0] * y) if y > 0 else 1
+    if law.kind == "pareto":
+        c, alpha = law.params
+        return c * y**-alpha if y > c ** (1 / alpha) else 1
+    return sum(p for a, p in law.atoms() if a > y)
+
+
+@pytest.mark.parametrize("law", RADIAL_KINDS, ids=lambda d: d.kind)
+def test_radial_intensity_finite_r_against_mpmath(law):
+    # the radial integral itself, cut where theta * s**beta - x meets the
+    # support ends or an atom: psi's increasing, decreasing and constant
+    # thresholds all agree with it
+    d, r = 3, 2.0
+    lo, hi = law.support()
+    ends = [lo, hi] + ([a for a, _ in law.atoms()] if law.is_discrete else [])
+    with mpmath.workdps(20):
+        for theta in (-0.5, 0.0, 0.8):
+            for beta in (0.0, 0.5, 2.0):
+                cfg = spatial.SpatialConfig(d=d, beta=beta, theta=theta, lam=1.0, r=r)
+                for x in (-1.3, -0.2, 0.3, 1.7):
+                    cuts = {0.0, r}
+                    for end in ends:
+                        q = (end + x) / theta if theta * beta != 0.0 else -1.0
+                        if q > 0.0 and 0.0 < q ** (1 / beta) < r:
+                            cuts.add(q ** (1 / beta))
+                    exact = mpmath.quad(
+                        lambda s: s ** (d - 1) * _mp_survival(law, theta * s**beta - x),
+                        sorted(cuts),
+                    )
+                    value = spatial.radial_intensity(cfg, law, x)
+                    assert value == pytest.approx(float(exact), rel=1e-10, abs=1e-13)
+
+
+def test_radial_intensity_limit_exact_value():
+    # C_inf(0) = E[X**6] / (3 * 0.8**6) = 720 / (3 * 0.8**6) under exp:1
+    cfg = spatial.SpatialConfig(d=3, beta=0.5, theta=0.8, lam=1.0, r=1.0)
+    value = spatial.radial_intensity(cfg, dist.exponential(1.0), 0.0, math.inf)
+    assert value == pytest.approx(915.52734375, rel=1e-13)
+
+
+@pytest.mark.parametrize("alpha, d, beta", [(3.0, 2, 1.0), (3.0, 3, 1.5), (1.2, 1, 1.0)])
+def test_radial_intensity_limit_pareto_heavy_tail(alpha, d, beta):
+    # C_inf(x) = E[(x + X)_+**k] / (theta**k d) with k = d / beta close to
+    # alpha, so psi grows like v**(-k / alpha) in the upper-tail level v; for
+    # integer k it is a binomial sum of E[X**j; X > t] = alpha t**(j - alpha)
+    # / (alpha - j) at t = max(1, -x)
+    law = dist.pareto(1.0, alpha)
+    cfg = spatial.SpatialConfig(d=d, beta=beta, theta=0.8, lam=1.0, r=1.0)
+    k = round(d / beta)
+    for x in (-1.3, 0.0, 0.3, 1.7):
+        t = max(1.0, -x)
+        exact = math.fsum(math.comb(k, j) * x ** (k - j) * alpha * t ** (j - alpha) / (alpha - j)
+                          for j in range(k + 1)) / (0.8**k * d)
+        value = spatial.radial_intensity(cfg, law, x, math.inf)
+        assert value == pytest.approx(exact, rel=1e-12)
+
+
+def test_origin_degree_pmf_far_count():
+    # a count near the mean of the stretched-exponential configuration: the
+    # mixed Poisson of C_inf(x) = 720 / (3 * 0.8**6) * sum_{i<=6} x**i / i!
+    # under exp:1
+    cfg = spatial.SpatialConfig(d=3, beta=0.5, theta=0.8, lam=1.0, r=1.0)
+    k = 12000
+    with mpmath.workdps(30):
+        scale = 4 * mpmath.pi * 240 / mpmath.mpf("0.8") ** 6
+
+        def mean(x):
+            return scale * sum(x**i / mpmath.factorial(i) for i in range(7))
+
+        def density(x):
+            m = mean(x)
+            return mpmath.exp(-m + k * mpmath.log(m) - mpmath.loggamma(k + 1) - x)
+
+        peak = mpmath.findroot(lambda x: mean(x) - k, 0.01)
+        width = mpmath.sqrt(k) / mpmath.diff(mean, peak)
+        cuts = [0] + [peak + j * width for j in range(-4, 31) if peak + j * width > 0]
+        exact = mpmath.quad(density, cuts + [1, mpmath.inf])
+    value = spatial.origin_degree_pmf(cfg, dist.exponential(1.0), k)
+    assert value == pytest.approx(float(exact), rel=1e-9)
+
+
 def test_direct_sampler_trivial_regimes():
     s = make_stream(1)
     assert spatial.sample_origin_degree_direct(CFG, UNI, 0.5, s,
@@ -249,9 +336,7 @@ def test_mixture_unconditional_mean():
     params = {"dist": "uniform:0,1", "theta": 1.0, "d": 2, "beta": 2.0,
               "lam": 1.0, "r": 3.0, "mode": "mixture"}
     rep = stats.run_replicates("spatial", params, 3000, 43)
-    expected = CFG.lam * spatial.sphere_surface(2) * dist.expectation(
-        UNI, lambda x: spatial.radial_intensity(CFG, UNI, x)
-    )
+    expected = spatial.mean_origin_degree(CFG, UNI)
     assert expected == pytest.approx(math.pi, abs=1e-8)
     assert abs(rep.mean - expected) < 3 * rep.stderr
 
@@ -264,6 +349,28 @@ def test_mixture_pmf_regime_errors():
     neg = spatial.SpatialConfig(d=2, beta=2.0, theta=-1.0, lam=1.0, r=10.0)
     with pytest.raises(RegimeError):
         spatial.origin_degree_pmf(neg, UNI, 0)
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0])
+def test_divergent_limit_beta_is_a_regime_error(beta):
+    cfg = spatial.SpatialConfig(d=2, beta=beta, theta=1.0, lam=1.0, r=math.inf)
+    with pytest.raises(RegimeError, match="beta <= 0"):
+        spatial.origin_degree_pmf(cfg, UNI, 0)
+    with pytest.raises(RegimeError, match="beta <= 0"):
+        spatial.radial_intensity(cfg, UNI, 0.5)
+    with pytest.raises(RegimeError, match="beta <= 0"):
+        spatial.radial_intensity(cfg, UNI, np.array([0.1, 0.5]))
+
+
+def test_divergent_limit_moment_is_a_regime_error():
+    # E[X**(d/beta)] = E[X**6] is infinite under pareto:1,1
+    cfg = spatial.SpatialConfig(d=3, beta=0.5, theta=0.8, lam=1.0, r=math.inf)
+    par = dist.pareto(1.0, 1.0)
+    for x in (0.0, np.array([0.0, 2.0])):
+        with pytest.raises(RegimeError, match=r"E\[\|X\|\*\*6\]"):
+            spatial.radial_intensity(cfg, par, x)
+    with pytest.raises(RegimeError, match=r"E\[\|X\|\*\*6\]"):
+        spatial.mean_origin_degree(cfg, par)
 
 
 def test_standardized_pipeline_pure_poisson_clt():
