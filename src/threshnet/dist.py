@@ -22,7 +22,10 @@ kinds integrate ``g(quantile(u))`` over ``u in (0, 1)`` (so unbounded
 supports need no truncation), discrete kinds sum atoms exactly.  Atoms are
 never smoothed.  The upper part of (0, 1) is integrated in ``v = 1 - u``
 through the upper-tail quantile, so no node rounds onto ``u = 1`` and
-finite tail moments of unbounded laws stay finite.
+finite tail moments of unbounded laws stay finite.  :func:`expect_rows`,
+the one partial expectation E[g(X); lo < X <= hi] the oracles build on,
+runs in ``v`` alone: every lower support end is finite, so ``v`` loses
+nothing there.
 
 One integrator does all the quadrature: :func:`quad_checked`, composite
 21-node Gauss-Legendre panels on a finite ``[lo, hi]`` that start at the
@@ -30,8 +33,8 @@ caller's breakpoints and are refined by halving, every level in one call of
 the integrand.  Given arrays of bounds it integrates all rows in one batch,
 each row exactly as a call of its own.  :func:`expectation` runs it on two
 seed partitions of (0, 1) in one batch and certifies the value by their
-agreement; the oracles in ``limits`` and ``spatial`` call it for their inner
-integrals.  An unbounded range is always integrated in quantile space.
+agreement; :func:`expect_rows` runs it on one row per range.  An unbounded
+range is always integrated in quantile space.
 
 Every integrand is elementwise: it maps an array of points to an array of
 values (a constant is broadcast), and its value at a point must not depend
@@ -109,14 +112,14 @@ class WeightDistribution:
             xm = c ** (1.0 / alpha)
             out = np.where(xv < xm, 0.0, 1.0 - c * np.maximum(xv, xm) ** (-alpha))
         else:
-            vals, cum = self._atom_tables()
+            vals, cum, _ = self._atom_tables()
             out = cum[np.searchsorted(vals, xv, side="right")]
         return float(out) if np.isscalar(x) or xv.ndim == 0 else out
 
     def sf(self, x):
-        """P(X > x).  Continuous kinds evaluate the tail itself, not
-        ``1 - cdf(x)``, which rounds away an upper tail below about 1e-16;
-        atom laws take ``1 - cdf(x)``."""
+        """P(X > x).  Every kind evaluates the tail itself, not
+        ``1 - cdf(x)``, which rounds away an upper tail below about 1e-16:
+        atom laws take their masses cumulated from the top."""
         xv = np.asarray(x, dtype=float)
         if self.kind == "uniform":
             a, b = self.params
@@ -129,7 +132,8 @@ class WeightDistribution:
             xm = c ** (1.0 / alpha)
             out = np.where(xv < xm, 1.0, c * np.maximum(xv, xm) ** (-alpha))
         else:
-            return 1.0 - self.cdf(x)
+            vals, _, tail = self._atom_tables()
+            out = tail[np.searchsorted(vals, xv, side="right")]
         return float(out) if np.isscalar(x) or xv.ndim == 0 else out
 
     def cdf_left(self, x):
@@ -137,7 +141,7 @@ class WeightDistribution:
         if not self.is_discrete:
             return self.cdf(x)
         xv = np.asarray(x, dtype=float)
-        vals, cum = self._atom_tables()
+        vals, cum, _ = self._atom_tables()
         out = cum[np.searchsorted(vals, xv, side="left")]
         return float(out) if np.isscalar(x) or xv.ndim == 0 else out
 
@@ -173,7 +177,7 @@ class WeightDistribution:
         if self.kind == "pareto":
             c, alpha = self.params
             return (c / (1.0 - u)) ** (1.0 / alpha)
-        vals, cum = self._atom_tables()
+        vals, cum, _ = self._atom_tables()
         return vals[np.searchsorted(cum[1:], u, side="left")]
 
     def _isf(self, v):
@@ -192,10 +196,13 @@ class WeightDistribution:
         raise DomainError(f"{self.kind} law has no upper-tail quantile")
 
     def _atom_tables(self):
+        # values; P(X <= x) and P(X > x) at index searchsorted(vals, x, "right")
         vals = np.array([x for x, _ in self.atoms()], dtype=float)
-        cum = np.concatenate([[0.0], np.cumsum([p for _, p in self.atoms()])])
-        cum[-1] = 1.0  # snap away the summation residual
-        return vals, cum
+        probs = np.array([p for _, p in self.atoms()])
+        cum = np.concatenate([[0.0], np.cumsum(probs)])
+        tail = np.concatenate([np.cumsum(probs[::-1])[::-1], [0.0]])
+        cum[-1] = tail[0] = 1.0  # snap away the summation residual
+        return vals, cum, tail
 
     # -- sampling ----------------------------------------------------------
 
@@ -316,20 +323,19 @@ def _values_at(g, xs, what: str):
 def expectation(dist: WeightDistribution, g) -> float:
     """Integrate ``g`` against the weight law.
 
-    Discrete kinds sum atoms exactly.  Continuous kinds integrate
-    ``g(quantile(u))`` over ``u in (0, 1)`` with :func:`quad_checked`, once
-    per seed partition of (0, 1) into equal cells: the lower cells as a row
-    in ``u`` through the quantile, the upper ones as a row in ``v = 1 - u``
-    through the upper-tail quantile, both cut at the seed edges.  ``g`` is
+    Discrete kinds sum atoms exactly through :func:`expect_rows`.
+    Continuous kinds integrate ``g(quantile(u))`` over ``u in (0, 1)`` with
+    :func:`quad_checked`, once per seed partition of (0, 1) into equal cells:
+    the lower cells as a row in ``u`` through the quantile, the upper ones as
+    a row in ``v = 1 - u`` through the upper-tail quantile, both cut at the
+    seed edges.  ``g`` is
     elementwise: it maps a 1-D array of weights (at most ``_NODES_PER_CALL``
     quadrature nodes, or all atoms of a discrete law) to an array of values
     of the same shape, or to a constant, and must be finite wherever the law
     has mass.
     """
     if dist.is_discrete:
-        xs = np.array([x for x, _ in dist.atoms()])
-        ps = np.array([p for _, p in dist.atoms()])
-        return math.fsum((ps * _values_at(g, xs, "atom x")).tolist())
+        return expect_rows(dist, g, -math.inf, math.inf)
 
     def integrand(t, upper):
         xs = np.empty_like(t)
@@ -366,6 +372,47 @@ def expectation(dist: WeightDistribution, g) -> float:
     if abs(close[0] - close[1]) <= 5e-9 * max(1.0, abs(close[1])):
         return 0.5 * (close[0] + close[1])
     raise NumericError("quadrature passes disagree; integrand too irregular")
+
+
+def expect_rows(dist: WeightDistribution, g, lo, hi, *, points=None, args=(),
+                tail_power: float = 1.0):
+    """E[g(X, *args); lo < X <= hi] for each row of the ranges.
+
+    ``lo``, ``hi`` (either may be infinite) and the arrays in ``args``
+    broadcast to m rows; ``g`` is elementwise, called with each weight's row
+    arguments.  Atom laws sum the atoms in each range with ``math.fsum``.
+    Continuous laws run one :func:`quad_checked` batch in the tail level
+    ``v = sf(x)`` over [sf(hi), sf(lo)], nodes mapped through the upper-tail
+    quantile, cut at ``sf(points)`` (weights, 1-D or (m, p) padded with NaN);
+    with ``tail_power`` p the rows run in ``v**(1/p)`` instead, which smooths
+    a singularity of g like ``v**(1/p - 1)`` at v = 0.  Raises NumericError,
+    naming the atom or node, where ``g`` is not finite.  Returns a float for
+    scalar inputs, else an array of the broadcast shape.
+    """
+    lo, hi, *extra = np.broadcast_arrays(np.asarray(lo, dtype=float),
+                                         np.asarray(hi, dtype=float), *args)
+    shape = lo.shape
+    lo, hi, *extra = (np.ravel(a) for a in (lo, hi, *extra))
+    if dist.is_discrete:
+        xs, ps = (np.array(column) for column in zip(*dist.atoms()))
+        rows, cols = np.nonzero((xs > lo[:, None]) & (xs <= hi[:, None]))
+        terms = np.zeros((lo.size, xs.size))
+        terms[rows, cols] = ps[cols] * _values_at(
+            lambda w: g(w, *(a[rows] for a in extra)), xs[cols], "atom x")
+        values = np.array([math.fsum(row) for row in terms.tolist()])
+    else:
+        power = float(tail_power)
+
+        def integrand(t, *row_args):
+            return power * t ** (power - 1.0) * g(dist._isf(t**power), *row_args)
+
+        def level(x):  # sf(x) ** (1/p), the row variable at weight x
+            return dist.sf(np.asarray(x, dtype=float)) ** (1.0 / power)
+
+        top = level(lo)
+        values = quad_checked(integrand, np.minimum(level(hi), top), top,
+                              points=None if points is None else level(points), args=extra)
+    return float(values[0]) if not shape else values.reshape(shape)
 
 
 # Nodes in one call of an expectation's integrand.  It bounds the memory of
@@ -559,10 +606,9 @@ def check_split_support(dist: WeightDistribution, theta: float):
     if not math.isfinite(theta):
         raise DomainError("theta must be finite")
     half = theta / 2.0
-    lo_sup, hi_sup = dist.support()
     if dist.mass_open(half, math.inf) <= 0.0:
         return False, None
-    u_lo = -math.inf if hi_sup == math.inf else theta - hi_sup
+    u_lo = theta - dist.support()[1]
     if dist.mass_open(u_lo, half) <= 0.0:
         return False, None
 
@@ -571,9 +617,8 @@ def check_split_support(dist: WeightDistribution, theta: float):
         u = cand_u[-1]
         v = max(x for x, _ in dist.atoms())
     else:
-        p_lo = 0.0 if u_lo == -math.inf else dist.cdf(u_lo)
-        u = dist.quantile(0.5 * (p_lo + dist.cdf_left(half)))
+        u = dist.quantile(0.5 * (dist.cdf(u_lo) + dist.cdf_left(half)))
         v_lo = max(half, theta - u)
-        v = dist.quantile(0.5 * (dist.cdf(v_lo) + 1.0))
+        v = float(dist._isf(0.5 * dist.sf(v_lo)))
     assert u < half < v and u + v > theta
     return True, (u, v)

@@ -6,17 +6,18 @@ triangle probabilities, the conditional triangle mean and its variance (the
 CLT variance driver), and the edge-conditioned weight correlation that
 witnesses asymptotic dependence.
 
-All continuous-kind integrals run in quantile space, so bounded and
-heavy-tailed supports share one code path, and one integrator does them
-all: the array-valued Gauss-Legendre integrator
-:func:`threshnet.dist.quad_checked`, called by
-:func:`threshnet.dist.expectation` for the outer expectations and directly
-for the inner one-dimensional integrals of the triangle and correlation
-oracles.  Integrands are elementwise, so an expectation evaluates many
-quadrature nodes at once, and the inner integrals of those nodes run as one
-batch (:func:`conditional_triangle_probability` takes any array of
-weights).  The limiting degree CDF of a continuous law is closed form.
-Discrete kinds reduce to exact atom sums.
+Every oracle is built from two primitives of :mod:`threshnet.dist`:
+:func:`~threshnet.dist.expectation` for the outer expectations and
+:func:`~threshnet.dist.expect_rows`, the partial expectation
+E[g(X); lo < X <= hi], for the inner ones of the triangle and correlation
+oracles.  Neither oracle tells atom laws from continuous ones: both
+primitives sum atoms exactly and integrate continuous laws in quantile
+space, so bounded and heavy-tailed supports share one code path.
+Integrands are elementwise, so an expectation evaluates many quadrature
+nodes at once, and the inner integrals of those nodes run as one batch
+(:func:`conditional_triangle_probability` takes any array of weights).
+Tails are survival functions ``sf`` throughout, never ``1 - cdf``.  The
+limiting degree CDF of a continuous law is closed form.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import WeightDistribution, expectation, quad_checked
+from .dist import WeightDistribution, expect_rows, expectation
 from .errors import DegenerateConditioningError, DomainError
 
 
@@ -78,10 +79,7 @@ def limit_degree_cdf(cfg: LimitConfig, t: float) -> float:
         return 1.0
     dist, theta = cfg.dist, cfg.theta
     if dist.is_discrete:
-        return expectation(
-            dist,
-            lambda x: np.where(1.0 - dist.cdf(theta - x) <= t, 1.0, 0.0),
-        )
+        return expectation(dist, lambda x: np.where(dist.sf(theta - x) <= t, 1.0, 0.0))
     upper = dist.support()[1] if t == 0.0 else float(dist._isf(t))
     return dist.cdf(theta - upper)
 
@@ -89,53 +87,37 @@ def limit_degree_cdf(cfg: LimitConfig, t: float) -> float:
 def edge_probability(cfg: LimitConfig) -> float:
     """P(X1 + X2 > theta) for two independent weights."""
     dist, theta = cfg.dist, cfg.theta
-    return expectation(dist, lambda a: 1.0 - dist.cdf(theta - a))
+    return expectation(dist, lambda a: dist.sf(theta - a))
 
 
 def conditional_triangle_probability(cfg: LimitConfig, x):
     """P(two fresh weights both exceed theta - x and sum above theta).
 
-    This is the conditional mean of the triangle kernel given one weight;
-    ``x`` may be a float or an array, and the result has its shape.  On
-    ``x <= theta/2`` the sum condition is implied and the value is the
-    exact square of a tail probability; above, the two-dimensional
-    probability is integrated in one dimension after conditioning on the
-    smaller fresh weight, split at its breakpoints, in one batched
-    quadrature over all such ``x``.
+    This is the conditional mean h1(x) of the triangle kernel given one
+    weight; ``x`` may be a float or an array, and the result has its shape.
+    Given the first fresh weight Y, the second must exceed theta - Y where
+    theta - x < Y <= x, and theta - x where Y > max(x, theta - x), so
+
+        h1(x) = E[sf(theta - Y); theta - x < Y <= max(x, theta - x)]
+                + sf(theta - x) * sf(max(x, theta - x)),
+
+    one :func:`threshnet.dist.expect_rows` batch over all ``x``, cut at the
+    kinks of ``sf(theta - Y)``.  On x <= theta/2 the range is empty and the
+    value is the exact square of a tail probability.
     """
     dist, theta = cfg.dist, cfg.theta
-    xs = np.asarray(x, dtype=float).reshape(-1)
-    low = theta - xs
-    if dist.is_discrete:
-        ys = np.array([y for y, _ in dist.atoms()])
-        ps = np.array([p for _, p in dist.atoms()])
-        below = low[:, None]
-        tails = ps * (1.0 - dist.cdf(np.maximum(below, theta - ys)))
-        terms = np.where(ys > below, tails, 0.0)
-        out = np.array([math.fsum(row) for row in terms.tolist()])
-    else:
-        tail_low = 1.0 - dist.cdf(low)
-        out = tail_low * tail_low
-        upper = xs > theta / 2.0
-        if upper.any():
-            mid = quad_checked(
-                lambda u: 1.0 - dist.cdf(theta - dist._ppf(u)),
-                dist.cdf(low[upper]),
-                dist.cdf(xs[upper]),  # theta - low
-                points=_tail_kinks(dist, theta),
-            )
-            out[upper] = mid + (1.0 - dist.cdf(xs[upper])) * tail_low[upper]
-    return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
+    xs = np.asarray(x, dtype=float)
+    low, high = theta - xs, np.maximum(xs, theta - xs)
+    inner = expect_rows(dist, lambda y: dist.sf(theta - y), low, high,
+                        points=_tail_kinks(dist, theta))
+    return inner + dist.sf(low) * dist.sf(high)
 
 
 def _tail_kinks(dist: WeightDistribution, theta: float) -> list:
-    """The quantile levels u at which ``1 - F(theta - ppf(u))`` leaves 0 and
-    reaches 1: ``F(theta - sup)`` where the support is bounded above, and
-    ``F(theta - inf)``.  An integral over u is split there."""
+    """The weights y at which ``sf(theta - y)`` leaves 0 and reaches 1,
+    ``theta - sup`` and ``theta - inf``; a partial expectation is cut there."""
     lo_s, hi_s = dist.support()
-    kinks = [dist.cdf(theta - hi_s)] if math.isfinite(hi_s) else []
-    kinks.append(dist.cdf(theta - lo_s))
-    return kinks
+    return [theta - hi_s, theta - lo_s]
 
 
 def triangle_probability(cfg: LimitConfig) -> float:
@@ -165,7 +147,7 @@ def edge_conditioned_correlation(cfg: LimitConfig) -> tuple[float, float]:
     adjacent tagged vertices.
 
     Under the joint weight law conditioned on an edge, the degree fractions
-    converge to ``(1 - F(theta - a), 1 - F(theta - b))``; a nonzero
+    converge to ``(sf(theta - a), sf(theta - b))``; a nonzero
     covariance witnesses that conditioning breaks asymptotic independence.
     Degenerate marginals report correlation 0.  Raises when no edge is
     possible at all.
@@ -179,35 +161,15 @@ def edge_conditioned_correlation(cfg: LimitConfig) -> tuple[float, float]:
         )
 
     def phi(a):
-        return 1.0 - dist.cdf(theta - a)
+        return dist.sf(theta - a)
 
-    if dist.is_discrete:
-        atoms = dist.atoms()
-        m1 = m2 = m11 = 0.0
-        for a, pa in atoms:
-            for b, pb in atoms:
-                if a + b > theta:
-                    w = pa * pb
-                    m1 += w * phi(a)
-                    m2 += w * phi(a) ** 2
-                    m11 += w * phi(a) * phi(b)
-        m1, m2, m11 = m1 / alpha, m2 / alpha, m11 / alpha
-    else:
-        m1 = expectation(dist, lambda a: phi(a) ** 2) / alpha
-        m2 = expectation(dist, lambda a: phi(a) ** 3) / alpha
-
-        def outer(a):
-            u0 = dist.cdf(theta - a)
-            inner = np.zeros_like(u0)
-            reach = u0 < 1.0
-            if reach.any():
-                inner[reach] = quad_checked(
-                    lambda u: phi(dist._ppf(u)), u0[reach], 1.0,
-                    points=_tail_kinks(dist, theta),
-                )
-            return phi(a) * inner
-
-        m11 = expectation(dist, outer) / alpha
+    # E[phi(A)], E[phi(A)**2] and E[phi(A) phi(B)] given A + B > theta; the
+    # edge's probability given A is phi(A) itself
+    m1 = expectation(dist, lambda a: phi(a) ** 2) / alpha
+    m2 = expectation(dist, lambda a: phi(a) ** 3) / alpha
+    kinks = _tail_kinks(dist, theta)
+    m11 = expectation(dist, lambda a: phi(a) * expect_rows(
+        dist, phi, theta - a, math.inf, points=kinks)) / alpha
 
     cov = m11 - m1 * m1
     var = m2 - m1 * m1

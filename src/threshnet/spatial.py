@@ -5,12 +5,14 @@ A point at distance s connects to the origin (weight x) iff
 ``x + X > theta * s**beta``, so the origin's degree inside radius r is, given
 x, Poisson with parameter ``lam * surface_d * C_r(x)`` (thinning), where
 ``C_r(x) = E[psi(x + X)]`` and psi(z) is the measure ``s**(d-1) ds`` of the
-radii a weight sum z reaches.  The mixture sampler draws the degree directly
-from that law; the direct sampler materializes the point cloud.  Both are
-distributionally identical, and the mixture path is O(1) in the radius.  The
-mixture sampler takes a campaign's streams together, so the intensities of
-its random origin weights are computed in batches, one per block of
-``_STREAMS_PER_BATCH`` streams.
+radii a weight sum z reaches.  C_r is closed form for uniform weights and for
+exponential ones at integer d/beta; any other law, atoms included, takes it
+from :func:`threshnet.dist.expect_rows`, one row per weight.  The mixture
+sampler draws the degree directly from that law; the direct sampler
+materializes the point cloud.  Both are distributionally identical, and the
+mixture path is O(1) in the radius.  The mixture sampler takes a campaign's
+streams together, so the intensities of its random origin weights are
+computed in batches, one per block of ``_STREAMS_PER_BATCH`` streams.
 
 Only the radial coordinate of a point ever enters the connection rule, so
 the direct sampler draws radii (``r * U**(1/d)``) and never materializes
@@ -28,13 +30,13 @@ from itertools import islice
 
 import numpy as np
 
-from .dist import WeightDistribution, expectation, parse_dist, quad_checked
+from .dist import WeightDistribution, expect_rows, expectation, parse_dist
 from .errors import CapacityError, DomainError, RegimeError
 from .stats import register_experiment
 
 DIRECT_POINT_CAP = 100_000_000
-# Streams per batch of the mixture sampler.  A law without a closed form takes two
-# quadrature rows per stream, about 14 KB of node arrays, so 3.5 MB a block at most.
+# Streams per batch of the mixture sampler.  A law without a closed form takes one
+# quadrature row per stream, about 7 KB of node arrays, so 1.75 MB a block at most.
 _STREAMS_PER_BATCH = 256
 
 
@@ -119,22 +121,26 @@ def _psi(z, d: int, beta: float, theta: float, r: float, integral: bool = False)
 def _radial_intensity_rows(
     d: int, beta: float, theta: float, dist: WeightDistribution, xs, r: float
 ) -> np.ndarray:
-    """C_r = E[psi(x + X)] at each weight of the 1-D array ``xs``: exact for atoms
-    and uniform, else :func:`_exponential_rows` or :func:`_quantile_rows`."""
-    if dist.is_discrete:
-        vals, probs = (np.array(column) for column in zip(*dist.atoms()))
-        terms = (_psi(xs[:, None] + vals, d, beta, theta, r) * probs).tolist()
-        values = np.array([math.fsum(row) for row in terms])
-    elif dist.kind == "uniform":
+    """C_r = E[psi(x + X)] at each weight of the 1-D array ``xs``: closed forms for
+    uniform and :func:`_exponential_rows`, else one :func:`expect_rows` batch, a row
+    per weight cut where x + X crosses 0, theta * r**beta and theta.  At r = inf under
+    pareto(c, alpha), psi grows like v**-g in the tail level v, g = d / (beta alpha)
+    < 1, so the rows run in v**(1 - g)."""
+    if dist.kind == "uniform":
         a, b = dist.params
         upper, lower = (_psi(xs + e, d, beta, theta, r, integral=True) for e in (b, a))
-        values = (upper - lower) / (b - a)
-    else:
-        values = np.full(xs.size, np.nan)
-        if dist.kind == "exponential" and theta > 0.0 and beta > 0.0 and (d / beta).is_integer():
-            values = _exponential_rows(d, beta, theta, dist.params[0], xs, r)
-        rest = np.isnan(values)
-        values[rest] = _quantile_rows(d, beta, theta, dist, xs[rest], r)
+        return np.maximum((upper - lower) / (b - a), 0.0)
+    values = np.full(xs.size, np.nan)
+    if dist.kind == "exponential" and theta > 0.0 and beta > 0.0 and (d / beta).is_integer():
+        values = _exponential_rows(d, beta, theta, dist.params[0], xs, r)
+    todo = np.isnan(values)
+    rest = xs[todo]
+    heavy = dist.kind == "pareto" and math.isinf(r)
+    power = 1.0 / (1.0 - d / (beta * dist.params[1])) if heavy else 1.0
+    values[todo] = expect_rows(
+        dist, lambda w, x: _psi(x + w, d, beta, theta, r), -math.inf, math.inf,
+        points=np.stack([-rest, theta * r**beta - rest, theta - rest], axis=1),
+        args=(rest,), tail_power=power)
     return np.maximum(values, 0.0)
 
 
@@ -151,33 +157,6 @@ def _exponential_rows(d: int, beta: float, theta: float, rate: float, xs, r: flo
     scale = math.factorial(k - 1) / (beta * (rate * theta) ** k)
     values = _psi(xs, d, beta, theta, r) + scale * (head - end)
     return np.where(2 * k * np.finfo(float).eps * scale * head > 1e-12 * values, np.nan, values)
-
-
-def _quantile_rows(
-    d: int, beta: float, theta: float, dist: WeightDistribution, xs, r: float
-) -> np.ndarray:
-    """E[psi(x + X)] for a continuous law in one batched :func:`quad_checked`:
-    rows in u and v = 1 - u on [0, 1/2] as in :func:`expectation`, cut where x + X
-    crosses 0, theta * r**beta and theta.  At r = inf under pareto(c, alpha), psi
-    grows like v**-g, g = d / (beta alpha) < 1, so that row runs in v**(1 - g)."""
-    heavy = dist.kind == "pareto" and math.isinf(r)
-    power = 1.0 / (1.0 - d / (beta * dist.params[1])) if heavy else 1.0
-
-    def integrand(t, x, upper):
-        w, jacobian = np.empty_like(t), np.ones_like(t)
-        w[~upper] = dist._ppf(t[~upper])
-        w[upper] = dist._isf(t[upper] ** power)
-        jacobian[upper] = power * t[upper] ** (power - 1.0)
-        return jacobian * _psi(x + w, d, beta, theta, r)
-
-    kinks = np.stack([-xs, theta * r**beta - xs, theta - xs], axis=1)
-    m = xs.size
-    halves = quad_checked(
-        integrand, np.zeros(2 * m), np.repeat([0.5, 0.5 ** (1.0 / power)], m),
-        points=np.concatenate([dist.cdf(kinks), dist.sf(kinks) ** (1.0 / power)]),
-        args=(np.tile(xs, 2), np.repeat([False, True], m)),
-    )
-    return halves[:m] + halves[m:]
 
 
 def sample_origin_degree_direct(

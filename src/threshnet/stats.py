@@ -207,50 +207,22 @@ def kolmogorov_sf(t: float) -> float:
 
 
 def _gamma_upper_reg(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) to ~1e-14 absolute.
+    """Regularized upper incomplete gamma Q(a, x) at a half-integer or
+    integer ``a`` (the chi-square tail at 2a degrees of freedom).
 
-    Series for P(a,x) when x < a + 1, Lentz continued fraction for Q(a,x)
-    otherwise.
+    Closed form, a sum of positive terms: erfc(sqrt(x)) when a is a
+    half-integer, plus x**b exp(-x) / Gamma(b + 1) for b = a mod 1,
+    a mod 1 + 1, ... below a.
     """
-    if a <= 0.0 or x < 0.0:
-        raise DomainError("gamma tail requires a > 0 and x >= 0")
-    if x == 0.0:
-        return 1.0
-    lg = math.lgamma(a)
-    if x < a + 1.0:
-        term = 1.0 / a
-        total = term
-        n = a
-        for _ in range(1000):
-            n += 1.0
-            term *= x / n
-            total += term
-            if abs(term) < abs(total) * 1e-16:
-                break
-        p = total * math.exp(-x + a * math.log(x) - lg)
-        return max(0.0, min(1.0, 1.0 - p))
-    # modified Lentz for the continued fraction of Q
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 1000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    q = h * math.exp(-x + a * math.log(x) - lg)
-    return max(0.0, min(1.0, q))
+    if not (a > 0.0 and (2.0 * a).is_integer() and x >= 0.0):
+        raise DomainError("gamma tail requires 2a a positive integer and x >= 0")
+    if x in (0.0, math.inf):
+        return float(x == 0.0)
+    start = a % 1.0
+    head = math.erfc(math.sqrt(x)) if start else 0.0
+    terms = (math.exp(-x + b * math.log(x) - math.lgamma(b + 1.0))
+             for b in (start + j for j in range(int(a - start))))
+    return min(1.0, math.fsum([head, *terms]))
 
 
 def chi_square_gof(observed, probs, min_expected: float = 5.0):

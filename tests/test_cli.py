@@ -221,6 +221,16 @@ def test_limits_other_tables(tmp_path):
     assert summary["split_support"] is True
 
 
+def test_limits_summary_exponential_far_tail(tmp_path):
+    # the edge probability e**-20 * 21 needs sf, not 1 - cdf, in its integrand
+    out = tmp_path / "summary.json"
+    code = run(["limits", "--dist", "exp:5", "--theta", "4", "--table", "summary",
+                "--out", str(out)])
+    assert code == 0
+    summary = json.loads(out.read_text())
+    assert summary["edge_probability"] == pytest.approx(21 * math.exp(-20), rel=1e-13, abs=0)
+
+
 def test_clt_check_command(tmp_path):
     out = tmp_path / "c.json"
     code = run(["clt-check", "--dist", "point:0.5", "--theta", "-1", "--d", "2",

@@ -185,6 +185,10 @@ def test_sf_keeps_far_tails():
     assert dist.exponential(1.0).sf(40.0) == math.exp(-40.0)
     assert dist.exponential(2.0).cdf(30.0) == 1.0
     assert dist.pareto(1.0, 3.0).sf(1e6) == pytest.approx(1e-18, rel=1e-15)
+    # atom laws cumulate their masses from the top
+    law = dist.finite_discrete([(0.0, 1.0 - 1e-20), (1.0, 1e-20)])
+    assert law.sf(0.5) == 1e-20
+    assert law.sf(np.array([-1.0, 0.0, 1.0])).tolist() == [1.0, 1e-20, 0.0]
 
 
 def test_quad_checked_nonfinite_integrand():
@@ -399,6 +403,82 @@ def test_expectation_equals_depth_first_reference(law, name):
 
 
 # ---------------------------------------------------------------------------
+# partial expectations
+
+ATOM_LAWS = [
+    dist.two_point(0.2, 0.5, 0.9),
+    dist.finite_discrete([(0.1, 0.25), (0.5, 0.5), (1.1, 0.25)]),
+    dist.point_mass(0.7),
+]
+
+
+@pytest.mark.parametrize("law", ATOM_LAWS, ids=lambda d: d.kind)
+def test_expect_rows_atoms_equal_brute_force_sums(law):
+    # the range ends fall on atoms, below and above the support and at +-inf
+    ends = [-math.inf, 0.0, 0.1, 0.2, 0.5, 0.7, 0.9, 1.1, 2.0, math.inf]
+    lo, hi = (np.array(column) for column in zip(*[(a, b) for a in ends for b in ends]))
+    shift = np.linspace(-1.0, 1.0, lo.size)
+    got = dist.expect_rows(law, lambda x, c: (x - c) ** 2, lo, hi, args=(shift,))
+    want = [math.fsum(p * (x - c) ** 2 for x, p in law.atoms() if a < x <= b)
+            for a, b, c in zip(lo, hi, shift)]
+    assert got.tolist() == want
+
+
+# law, density, tail power: under pareto(2, 3) the integrand grows like
+# v**(-2/3) in the tail level v, so its rows run in v**(1/3)
+_DENSITIES = {
+    "uniform": (dist.uniform(-0.5, 1.5), lambda x: mpmath.mpf(1) / 2, 1.0),
+    "exponential": (dist.exponential(2.0), lambda x: 2 * mpmath.exp(-2 * x), 1.0),
+    "pareto": (dist.pareto(2.0, 3.0), lambda x: 6 * x**-4, 3.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DENSITIES))
+@pytest.mark.parametrize("lo, hi", [(-math.inf, math.inf), (0.2, 1.3), (1.0, math.inf),
+                                    (-1.0, 0.7), (1.3, 1.3), (1.3, 0.2)])
+def test_expect_rows_continuous_against_mpmath(name, lo, hi):
+    law, density, power = _DENSITIES[name]
+    cut = 1.4  # the kink of g, given as a weight
+    s_lo, s_hi = law.support()
+    a, b = max(lo, s_lo), min(hi, s_hi)
+    nodes = [a, *([cut] if a < cut < b else []), b]
+    exact = float(mpmath.quad(lambda x: abs(x - cut) * x * density(x), nodes)) if a < b else 0.0
+    got = dist.expect_rows(law, lambda x: np.abs(x - cut) * x, lo, hi, points=[cut],
+                           tail_power=power)
+    assert isinstance(got, float)
+    assert got == pytest.approx(exact, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("law", [dist.exponential(1.0), dist.pareto(1.0, 2.5),
+                                 *ATOM_LAWS], ids=lambda d: d.kind)
+def test_expect_rows_batch_equals_scalar_calls(law):
+    lo = np.array([-math.inf, 0.0, 0.3, 1.0, 2.0, 0.5])
+    hi = np.array([math.inf, 1.0, 4.0, math.inf, 1.0, 0.9])
+    c = np.array([0.1, 0.7, 1.2, 2.5, 0.0, 3.0])
+    points = np.stack([c, c + 1.0], axis=1)
+
+    def g(x, c):
+        return np.sqrt(np.abs(x - c)) + x
+
+    batch = dist.expect_rows(law, g, lo, hi, points=points, args=(c,))
+    rows = [dist.expect_rows(law, g, lo[i], hi[i], points=points[i], args=(c[i],))
+            for i in range(lo.size)]
+    assert batch.tolist() == rows
+
+
+def test_expect_rows_nonfinite_integrand():
+    law = dist.finite_discrete([(0.1, 0.25), (0.5, 0.5), (1.1, 0.25)])
+    with pytest.raises(NumericError, match="atom x=0.5"):
+        dist.expect_rows(law, lambda x: np.where(x == 0.5, np.inf, x), 0.0, 1.0)
+    # an atom outside the range is never evaluated
+    assert dist.expect_rows(law, lambda x: 1.0 / (x - 0.5), 0.6, 2.0) == pytest.approx(
+        0.25 / 0.6, rel=1e-15)
+    with pytest.raises(NumericError, match="not finite"):
+        dist.expect_rows(dist.exponential(1.0), lambda x: np.where(x > 2.0, np.nan, x),
+                         1.0, math.inf)
+
+
+# ---------------------------------------------------------------------------
 # split-support check
 
 
@@ -410,6 +490,9 @@ def test_split_support_examples():
     assert dist.check_split_support(dist.two_point(0.2, 0.5, 0.9), 1.2) == (False, None)
     holds, wit = dist.check_split_support(dist.two_point(0.4, 0.5, 0.8), 1.0)
     assert holds and wit == (0.4, 0.8)
+    # the heavy witness lies where cdf rounds to 1
+    holds, (u, v) = dist.check_split_support(dist.exponential(8.0), 6.0)
+    assert holds and u < 3.0 < v and u + v > 6.0
 
 
 def _split_support_oracle(d, theta):

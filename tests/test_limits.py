@@ -92,6 +92,24 @@ def test_edge_probability():
     assert limits.edge_probability(cfg) == pytest.approx(0.25, abs=1e-12)
 
 
+@pytest.mark.parametrize("rate, theta, rel", [(5.0, 4.0, 1e-13), (6.0, 5.0, 5e-9)])
+def test_edge_probability_exponential_far_tail(rate, theta, rel):
+    # P(X1 + X2 > theta) = e**(-rate theta) (1 + rate theta): the integrand
+    # sf(theta - x) lies far below 1 - cdf's rounding floor for most x
+    cfg = limits.LimitConfig(dist.exponential(rate), theta)
+    exact = mpmath.exp(-rate * theta) * (1 + rate * theta)
+    assert limits.edge_probability(cfg) == pytest.approx(float(exact), rel=rel, abs=0)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "neither pass of expectation puts a node where sf(theta - x) > 0, which "
+    "is x > 0.9999, so both agree on 0; see the FOUND item on "
+    "edge_probability in CHANGES.md"))
+def test_edge_probability_uniform_thin_corner():
+    cfg = limits.LimitConfig(dist.uniform(0, 1), 1.9999)
+    assert limits.edge_probability(cfg) == pytest.approx((2 - 1.9999) ** 2 / 2, rel=1e-9, abs=0)
+
+
 def test_triangle_probability():
     assert limits.triangle_probability(UNI) == pytest.approx(0.25, abs=1e-6)
     assert limits.triangle_probability(limits.LimitConfig(dist.point_mass(0.7), 1.0)) == 1.0
@@ -129,6 +147,22 @@ def test_conditional_triangle_probability_exp_against_mpmath():
             )
             value = limits.conditional_triangle_probability(cfg, x)
             assert value == pytest.approx(float(exact), rel=1e-10)
+
+
+@pytest.mark.parametrize("x", [-0.875, 1.5, 2.5, 3.0])
+def test_conditional_triangle_probability_exp_far_tail(x):
+    # exp:3 at theta = 3: exp(-2 rate (theta - x)) up to theta/2, then
+    # exp(-rate theta) (1 + rate (2x - theta)) up to theta; the tails lie
+    # below 1 - cdf's rounding floor
+    rate, theta = 3, 3
+    cfg = limits.LimitConfig(dist.exponential(rate), theta)
+    x_ = mpmath.mpf(x)
+    if x <= theta / 2:
+        exact = mpmath.exp(-2 * rate * (theta - x_))
+    else:
+        exact = mpmath.exp(-rate * theta) * (1 + rate * (2 * x_ - theta))
+    assert limits.conditional_triangle_probability(cfg, x) == pytest.approx(
+        float(exact), rel=1e-14, abs=0)
 
 
 ALL_KINDS = LIMIT_CDF_KINDS[:2] + [dist.pareto(1.0, 3.0)] + LIMIT_CDF_KINDS[3:]

@@ -276,6 +276,19 @@ def test_gamma_tail_against_scipy():
     assert worst < 1e-8
 
 
+def test_gamma_tail_closed_forms():
+    for x in (1e-6, 0.3, 2.0, 50.0):
+        assert stats._gamma_upper_reg(0.5, x) == math.erfc(math.sqrt(x))
+        assert stats._gamma_upper_reg(1.0, x) == math.exp(-x)
+        q2 = (1 + x) * math.exp(-x)
+        assert stats._gamma_upper_reg(2.0, x) == pytest.approx(q2, rel=1e-15, abs=0)
+    assert stats._gamma_upper_reg(3.5, 0.0) == 1.0
+    assert stats._gamma_upper_reg(3.5, math.inf) == 0.0
+    for a, x in ((0.0, 1.0), (1.25, 1.0), (2.0, -1.0), (math.nan, 1.0)):
+        with pytest.raises(DomainError):
+            stats._gamma_upper_reg(a, x)
+
+
 # ---------------------------------------------------------------------------
 # reference laws
 
