@@ -38,12 +38,31 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _float_type(allow_inf: bool):
+    """An argparse type: a float that is never nan, and finite unless ``allow_inf``."""
+    def convert(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if math.isnan(value) or (math.isinf(value) and not allow_inf):
+            raise argparse.ArgumentTypeError(
+                f"invalid {'non-nan' if allow_inf else 'finite'} float value: {text!r}")
+        return value
+
+    return convert
+
+
+_FINITE, _NOT_NAN = _float_type(False), _float_type(True)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="threshnet", description=__doc__)
+    parser.config_flags = {}  # command -> {option key: flag}, to parse config files
     sub = parser.add_subparsers(dest="command", required=True)
     head = (("--config", {"help": "flat JSON config file; flags override"}),
             ("--dist", {"help": "weight law spec, e.g. uniform:0,1"}),
-            ("--theta", {"type": float, "help": "edge threshold"}))
+            ("--theta", {"type": _FINITE, "help": "edge threshold"}))
     tail = (("--seed", {"type": int, "help": "master seed (default 0)"}),
             ("--out", {"help": "report output path"}),
             ("--format", {"choices": ("json", "csv"), "dest": "fmt",
@@ -52,14 +71,15 @@ def build_parser() -> argparse.ArgumentParser:
     r = ("--R", {"type": int, "help": "replicate count"})
     grid = ("--grid", {"type": int, "help": "grid size for cdf/h1 tables"})
     space = (("--d", {"type": int, "help": "dimension (1, 2 or 3)"}),
-             ("--beta", {"type": float, "help": "distance exponent"}),
-             ("--lambda", {"type": float, "dest": "lam", "help": "Poisson intensity"}),
-             ("--r", {"type": float, "help": "ball radius"}))
+             ("--beta", {"type": _FINITE, "help": "distance exponent"}),
+             ("--lambda", {"type": _FINITE, "dest": "lam", "help": "Poisson intensity"}),
+             ("--r", {"type": _NOT_NAN, "help": "ball radius (may be inf)"}))
 
     def command(name, help, *flags):
         p = sub.add_parser(name, help=help)
-        for flag, kwargs in head + flags + tail:
-            p.add_argument(flag, **kwargs)
+        actions = [p.add_argument(flag, **kwargs) for flag, kwargs in head + flags + tail]
+        parser.config_flags[name] = {a.dest: a.option_strings[0] for a in actions
+                                     if a.dest != "config"}
 
     command("degree", "degree-fraction samples vs the limit law", n, r)
     command("pair", "tagged-pair degree correlation experiment", n, r)
@@ -74,20 +94,22 @@ def build_parser() -> argparse.ArgumentParser:
                          "help": "which table to emit"}), grid)
     command("spatial", "spatial origin-degree experiment", r,
             ("--mode", {"choices": ("direct", "mixture"), "help": "sampler"}), *space,
-            ("--x0", {"type": float, "help": "fix the origin weight"}))
+            ("--x0", {"type": _FINITE, "help": "fix the origin weight"}))
     command("clt-check", "standardized spatial degree samples vs normal", r, *space,
-            ("--Cr", {"type": float, "help": "centering sequence value"}))
+            ("--Cr", {"type": _FINITE, "help": "centering sequence value"}))
     return parser
 
 
 _DEFAULTS = {"seed": 0, "fmt": "json", "mode": "mixture", "grid": 512}
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    """Config-file values fill in flags left unset; flags win.  A null in
-    the file leaves its key unset."""
+def _merge_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
+    """Config-file values fill in flags left unset; flags win.  The file's
+    values go through the command's own flags, so each takes its flag's type,
+    checks and choices; a null leaves its key unset, and a key that is no
+    option of the command is ignored."""
     merged: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
@@ -95,11 +117,15 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise UsageError(f"cannot read config file {args.config}: {exc}")
         if not isinstance(file_cfg, dict):
             raise UsageError("config file must hold a flat JSON object")
-        merged.update((k, v) for k, v in file_cfg.items() if v is not None)
-    for key, value in vars(args).items():
-        if key == "config" or value is None:
-            continue
-        merged[key] = value
+        flags = parser.config_flags[args.command]
+        tokens = [f"{flags[k]}={v if isinstance(v, str) else json.dumps(v)}"
+                  for k, v in file_cfg.items() if k in flags and v is not None]
+        try:
+            file_args = parser.parse_args([args.command, *tokens])
+        except UsageError as exc:
+            raise UsageError(f"config file {args.config}: {exc}") from exc
+        merged.update((k, v) for k, v in vars(file_args).items() if v is not None)
+    merged.update((k, v) for k, v in vars(args).items() if v is not None and k != "config")
     for key, value in _DEFAULTS.items():
         merged.setdefault(key, value)
     return merged
@@ -161,15 +187,14 @@ def _write_report(cfg: dict, payload: dict, samples: np.ndarray | None = None,
     _write(path.with_name(path.stem + "_hist.csv"), _csv("bin_left,bin_right,count", hist))
 
 
-def _replicates(cfg: dict, experiment: str, **converters):
+def _replicates(cfg: dict, experiment: str, *keys: str):
     """The replicate report of ``experiment`` and the oracles' config;
-    ``converters`` maps each further required key to its parameter's type."""
-    _require(cfg, "dist", "theta", *converters, "R")
+    ``keys`` are the further required options, passed on as parameters."""
+    _require(cfg, "dist", "theta", *keys, "R")
     dist = _parse(parse_dist, cfg["dist"])
-    params = {"dist": cfg["dist"], "theta": float(cfg["theta"])}
-    params.update((key, convert(cfg[key])) for key, convert in converters.items())
-    report = stats.run_replicates(experiment, params, int(cfg["R"]), int(cfg["seed"]))
-    return report, limits.LimitConfig(dist, params["theta"])
+    params = {key: cfg[key] for key in ("dist", "theta", *keys)}
+    report = stats.run_replicates(experiment, params, cfg["R"], cfg["seed"])
+    return report, limits.LimitConfig(dist, cfg["theta"])
 
 
 def _ks(report: stats.ReplicateReport, name: str, cdf) -> None:
@@ -198,13 +223,13 @@ def _limit_correlation(lcfg: limits.LimitConfig) -> dict:
 
 
 def _cmd_degree(cfg: dict) -> None:
-    report, lcfg = _replicates(cfg, "degree", n=int)
+    report, lcfg = _replicates(cfg, "degree", "n")
     _ks(report, "ks_vs_limit_degree_cdf", lambda t: limits.limit_degree_cdf(lcfg, t))
     _write_report(cfg, report.to_dict(), report.samples, report.columns)
 
 
 def _cmd_pair(cfg: dict) -> None:
-    report, lcfg = _replicates(cfg, "pair", n=int)
+    report, lcfg = _replicates(cfg, "pair", "n")
     d1, d2, edge = report.samples.T
     mask = edge > 0.5
     report.extras = {
@@ -227,13 +252,13 @@ def _cmd_triangles(cfg: dict) -> None:
     _require(cfg, "dist", "theta", "n")
     dist = _parse(parse_dist, cfg["dist"])
     n = graph.check_vertex_count(cfg["n"], 3, "the triangle density")
-    theta = float(cfg["theta"])
-    g = graph.sample_graph(dist, n, theta, stats.make_stream(int(cfg["seed"])))
+    theta = cfg["theta"]
+    g = graph.sample_graph(dist, n, theta, stats.make_stream(cfg["seed"]))
     t_count = graph.count_triangles(g)
     payload = {
         "experiment": "triangles",
         "config": {"dist": cfg["dist"], "theta": theta, "n": n},
-        "seed": int(cfg["seed"]),
+        "seed": cfg["seed"],
         "triangles": t_count,
         "triangle_density": t_count / math.comb(n, 3),
         "limit_triangle_probability": limits.triangle_probability(
@@ -246,14 +271,14 @@ def _cmd_motif(cfg: dict) -> None:
     _require(cfg, "dist", "theta", "n", "motif")
     dist = _parse(parse_dist, cfg["dist"])
     motif = _parse(motifs.parse_motif, cfg["motif"])
-    n, theta = int(cfg["n"]), float(cfg["theta"])
-    stream = stats.make_stream(int(cfg["seed"]))
+    n, theta = cfg["n"], cfg["theta"]
+    stream = stats.make_stream(cfg["seed"])
     g = graph.sample_graph(dist, n, theta, stream)
     count = motifs.count_motif_tuples(g, motif)
     payload = {
         "experiment": "motif",
         "config": {"dist": cfg["dist"], "theta": theta, "n": n, "motif": cfg["motif"]},
-        "seed": int(cfg["seed"]),
+        "seed": cfg["seed"],
         "ordered_tuples": count,
         "tuples_over_n_pow_k": count / n**motif.k,
         "symmetry_count": motif.symmetry_count,
@@ -261,15 +286,15 @@ def _cmd_motif(cfg: dict) -> None:
     }
     if cfg.get("density_samples"):
         est, se = motifs.motif_probability_mc(
-            dist, motif, theta, int(cfg["density_samples"]), stream
+            dist, motif, theta, cfg["density_samples"], stream
         )
         payload["motif_probability_mc"] = {"estimate": est, "stderr": se}
     _write_report(cfg, payload)
 
 
 def _cmd_local(cfg: dict) -> None:
-    report, lcfg = _replicates(cfg, "local", n=int)
-    _ks(report, "ks_vs_local_limit", local_limit_cdf(lcfg, int(cfg["grid"])))
+    report, lcfg = _replicates(cfg, "local", "n")
+    _ks(report, "ks_vs_local_limit", local_limit_cdf(lcfg, cfg["grid"]))
     _write_report(cfg, report.to_dict(), report.samples, report.columns)
 
 
@@ -293,7 +318,7 @@ def local_limit_cdf(lcfg: limits.LimitConfig, grid: int):
 
 def _cmd_limits(cfg: dict) -> None:
     _require(cfg, "dist", "theta", "table")
-    lcfg = limits.LimitConfig(_parse(parse_dist, cfg["dist"]), float(cfg["theta"]))
+    lcfg = limits.LimitConfig(_parse(parse_dist, cfg["dist"]), cfg["theta"])
     table, out = cfg["table"], cfg.get("out")
     if table == "degree-pmf":
         _require(cfg, "n")
@@ -324,9 +349,8 @@ def _cmd_limits(cfg: dict) -> None:
 
 
 def _cmd_spatial(cfg: dict) -> None:
-    x0 = {"x0": float} if cfg.get("x0") is not None else {}
-    report, lcfg = _replicates(cfg, "spatial", d=int, beta=float, lam=float, r=float,
-                               mode=str, **x0)
+    x0 = ("x0",) if cfg.get("x0") is not None else ()
+    report, lcfg = _replicates(cfg, "spatial", "d", "beta", "lam", "r", "mode", *x0)
     scfg = spatial.SpatialConfig(**{k: report.config[k]
                                     for k in ("d", "beta", "theta", "lam", "r")})
     if x0:
@@ -353,7 +377,7 @@ def _poisson_gof(samples: np.ndarray, rate: float):
 
 
 def _cmd_clt_check(cfg: dict) -> None:
-    report, _ = _replicates(cfg, "clt", d=int, beta=float, lam=float, r=float, Cr=float)
+    report, _ = _replicates(cfg, "clt", "d", "beta", "lam", "r", "Cr")
     _ks(report, "ks_vs_standard_normal", stats.normal_cdf)
     _write_report(cfg, report.to_dict(), report.samples, report.columns)
 
@@ -374,7 +398,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _merge_config(args)
+        cfg = _merge_config(parser, args)
         _COMMANDS[cfg["command"]](cfg)
         return 0
     except UsageError as exc:

@@ -53,7 +53,6 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 
-_CONTINUOUS_KINDS = ("uniform", "exponential", "pareto")
 _DISCRETE_KINDS = ("two_point", "discrete", "point")
 
 # Probability tolerance for validating discrete weights.
@@ -136,38 +135,9 @@ class WeightDistribution:
             out = tail[np.searchsorted(vals, xv, side="right")]
         return float(out) if np.isscalar(x) or xv.ndim == 0 else out
 
-    def cdf_left(self, x):
-        """P(X < x): the left limit of the CDF (differs only at atoms)."""
-        if not self.is_discrete:
-            return self.cdf(x)
-        xv = np.asarray(x, dtype=float)
-        vals, cum, _ = self._atom_tables()
-        out = cum[np.searchsorted(vals, xv, side="left")]
-        return float(out) if np.isscalar(x) or xv.ndim == 0 else out
-
-    def mass_open(self, lo: float, hi: float) -> float:
-        """P(X in (lo, hi)), exact for every kind.
-
-        Positive iff the open interval meets the support, which is the probe
-        the split-support check relies on.
-        """
-        if not hi > lo:
-            return 0.0
-        lo_cdf = 0.0 if lo == -math.inf else self.cdf(lo)
-        hi_cdf = 1.0 if hi == math.inf else self.cdf_left(hi)
-        return max(0.0, hi_cdf - lo_cdf)
-
-    def quantile(self, p):
-        """Generalized inverse CDF: inf{x : F(x) >= p} for 0 < p < 1."""
-        pv = np.asarray(p, dtype=float)
-        if np.any(pv <= 0.0) or np.any(pv >= 1.0):
-            raise DomainError("quantile requires 0 < p < 1")
-        out = self._ppf(pv)
-        return float(out) if np.isscalar(p) or pv.ndim == 0 else out
-
     def _ppf(self, u):
-        # Same generalized inverse as quantile() but also defined at u = 0,
-        # where it returns the lower support bound; used by the sampler.
+        # The generalized inverse CDF inf{x : F(x) >= u} for 0 < u < 1, and
+        # the lower support bound at u = 0, which the sampler can draw.
         if self.kind == "uniform":
             a, b = self.params
             return a + (b - a) * u
@@ -238,14 +208,14 @@ def exponential(rate: float) -> WeightDistribution:
 
 
 def pareto(scale_c: float, alpha: float) -> WeightDistribution:
-    if not (scale_c > 0.0 and alpha > 0.0):
-        raise DomainError("pareto requires scale_c > 0 and alpha > 0")
+    if not (0.0 < scale_c < math.inf and 0.0 < alpha < math.inf):
+        raise DomainError("pareto requires finite scale_c > 0 and alpha > 0")
     return WeightDistribution("pareto", (float(scale_c), float(alpha)))
 
 
 def two_point(x1: float, p1: float, x2: float) -> WeightDistribution:
-    if not x1 < x2:
-        raise DomainError("two_point requires x1 < x2")
+    if not (math.isfinite(x1) and math.isfinite(x2) and x1 < x2):
+        raise DomainError("two_point requires finite x1 < x2")
     if not 0.0 < p1 < 1.0:
         raise DomainError("two_point requires 0 < p1 < 1")
     return WeightDistribution("two_point", (float(x1), float(p1), float(x2)))
@@ -258,8 +228,8 @@ def finite_discrete(atoms) -> WeightDistribution:
     xs = [x for x, _ in pairs]
     if len(set(xs)) != len(xs):
         raise DomainError("discrete atoms must be distinct")
-    if any(p <= 0.0 for _, p in pairs):
-        raise DomainError("atom probabilities must be positive")
+    if not all(math.isfinite(x) and 0.0 < p < math.inf for x, p in pairs):
+        raise DomainError("discrete atoms must be finite with positive probabilities")
     if abs(math.fsum(p for _, p in pairs) - 1.0) > _PROB_TOL:
         raise DomainError("atom probabilities must sum to 1")
     return WeightDistribution("discrete", pairs)
@@ -445,14 +415,16 @@ _GL_WEIGHTS = np.array([
 # Panels close at this error, relative to the integral of |f| and shared out
 # by width, or at the floors below it: an error of _QUAD_FLOOR_RTOL of the
 # integral of |f|, or a width of _QUAD_MIN_WIDTH of the row.  A row's summed
-# error estimate above _QUAD_FAIL_RTOL raises.
+# error estimate above _QUAD_FAIL_RTOL raises, and so does a row that needs more
+# panels than the larger of _QUAD_PANELS and two per breakpoint plus 16.
 _QUAD_RTOL = 1e-11
 _QUAD_FLOOR_RTOL = 1e-13
 _QUAD_MIN_WIDTH = 1e-14
 _QUAD_FAIL_RTOL = 1e-6
+_QUAD_PANELS = 256
 
 
-def quad_checked(f, lo, hi, *, points=None, args=(), limit: int = 256):
+def quad_checked(f, lo, hi, *, points=None, args=()):
     """Integrate ``f`` over [lo, hi] with adaptive Gauss-Legendre panels.
 
     ``f`` is elementwise: it maps an array of nodes to an array of values.
@@ -472,13 +444,14 @@ def quad_checked(f, lo, hi, *, points=None, args=(), limit: int = 256):
     integral is the largest of the levels' estimates (kept panels plus open
     halves), so mass that the first nodes barely reach, such as a narrow
     peak, raises the scale instead of holding every panel to a tolerance
-    far below rounding.  Each
-    row returns the ``fsum`` of its own kept panels, so it equals a call on
-    that row alone bit for bit.  Raises NumericError, naming the row's span, on a
-    non-finite integrand value, when a row needs more than ``limit`` panels,
-    or when a row's summed error estimate exceeds 1e-6 of its integral of
-    |f|, and DomainError on an infinite bound or ``lo > hi``.  Returns a
-    float for scalar ``lo`` and ``hi``, else an array.
+    far below rounding.  Each row returns the ``fsum`` of its own kept
+    panels, so it equals a call on that row alone bit for bit.  Raises
+    NumericError, naming the row's span, on a non-finite integrand value,
+    when a row needs more panels than the larger of ``_QUAD_PANELS`` and two
+    per breakpoint plus 16, or when a row's summed error estimate
+    exceeds 1e-6 of its integral of |f|, and DomainError on an infinite
+    bound or ``lo > hi``.  Returns a float for scalar ``lo`` and ``hi``,
+    else an array.
     """
     scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
     los, his = (v.tolist() for v in np.broadcast_arrays(
@@ -498,7 +471,7 @@ def quad_checked(f, lo, hi, *, points=None, args=(), limit: int = 256):
         if l == h:
             continue
         cuts = sorted({p for p in cut_rows[i] if l < p < h})
-        budget[i] = max(limit, 2 * len(cuts) + 16)
+        budget[i] = max(_QUAD_PANELS, 2 * len(cuts) + 16)
         a0 += [l, *cuts]
         b0 += [*cuts, h]
         rows0 += [i] * (len(cuts) + 1)
@@ -595,30 +568,31 @@ def check_split_support(dist: WeightDistribution, theta: float):
 
     When such a pair exists the threshold graph has genuinely interacting
     light and heavy vertices; otherwise it degenerates into isolated vertices
-    plus one complete clique.  Returns ``(holds, witness)`` where ``witness``
-    is a concrete ``(u, v)`` pair when ``holds``.
+    plus one complete clique.  Returns ``(holds, witness)``, ``witness`` a
+    concrete ``(u, v)`` pair when ``holds``.
 
-    Equivalent support formulation (with ``v_sup`` the essential supremum):
-    the check holds iff the open intervals ``(theta/2, inf)`` and
-    ``(theta - v_sup, theta/2)`` both carry support points, which is decided
-    exactly through open-interval masses.
+    The verdict comes from the support bounds, ``inf < theta/2 < sup``.  The
+    witness pairs the top atom with the largest atom below theta/2 that
+    reaches it, or for a continuous law takes ``u`` at the middle level of
+    (theta - sup, theta/2) and ``v`` at half the tail beyond
+    ``max(theta/2, theta - u)``.  A witness that fails in floats gives
+    ``(False, None)``: where theta - sup and theta/2 are adjacent floats no
+    pair of float weights makes a light-heavy edge, and where that tail
+    underflows (exp:1 beyond theta = 745) no float weight carries its mass.
     """
     if not math.isfinite(theta):
         raise DomainError("theta must be finite")
     half = theta / 2.0
-    if dist.mass_open(half, math.inf) <= 0.0:
+    lo, hi = dist.support()
+    if not lo < half < hi:
         return False, None
-    u_lo = theta - dist.support()[1]
-    if dist.mass_open(u_lo, half) <= 0.0:
-        return False, None
-
     if dist.is_discrete:
-        cand_u = [x for x, _ in dist.atoms() if u_lo < x < half]
-        u = cand_u[-1]
-        v = max(x for x, _ in dist.atoms())
+        u = max([x for x, _ in dist.atoms() if x < half and x + hi > theta], default=lo)
+        v = hi
     else:
-        u = dist.quantile(0.5 * (dist.cdf(u_lo) + dist.cdf_left(half)))
-        v_lo = max(half, theta - u)
-        v = float(dist._isf(0.5 * dist.sf(v_lo)))
-    assert u < half < v and u + v > theta
-    return True, (u, v)
+        u = float(dist._ppf(0.5 * (dist.cdf(theta - hi) + dist.cdf(half))))
+        with np.errstate(divide="ignore", over="ignore"):  # a tail below floats: v = inf
+            v = float(dist._isf(np.float64(0.5 * dist.sf(max(half, theta - u)))))
+    if u < half < v < math.inf and u + v > theta:
+        return True, (u, v)
+    return False, None

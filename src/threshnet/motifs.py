@@ -34,6 +34,8 @@ from .errors import CapacityError, DomainError
 from .graph import GraphSample
 
 MAX_MOTIF_VERTICES = 8
+# Weight tuples drawn at once by motif_probability_mc.
+_MC_BLOCK = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -176,7 +178,6 @@ def motif_probability_mc(
     theta: float,
     samples: int,
     stream: np.random.Generator,
-    block: int = 1_000_000,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of P(k fresh weights realize the motif).
 
@@ -187,7 +188,7 @@ def motif_probability_mc(
     hits = 0
     remaining = samples
     while remaining > 0:
-        b = min(block, remaining)
+        b = min(_MC_BLOCK, remaining)
         x = dist.sample(stream, (b, motif.k))
         ok = np.ones(b, dtype=bool)
         for s, t in motif.edges:

@@ -164,14 +164,13 @@ def sample_origin_degree_direct(
     dist: WeightDistribution,
     x0: float | None,
     stream: np.random.Generator,
-    point_cap: float = DIRECT_POINT_CAP,
 ) -> int:
     """Origin degree by simulating the whole Poisson cloud in the ball."""
     expected_points = cfg.lam * ball_volume(cfg.d, cfg.r)
-    if expected_points > point_cap:
+    if expected_points > DIRECT_POINT_CAP:
         raise CapacityError(
             f"direct simulation needs ~{expected_points:.3g} points, over the "
-            f"cap of {point_cap:.3g}; use the mixture sampler"
+            f"cap of {DIRECT_POINT_CAP:.3g}; use the mixture sampler"
         )
     origin_weight = float(x0) if x0 is not None else dist.sample(stream)
     count = int(stream.poisson(expected_points))

@@ -72,10 +72,6 @@ def register_experiment(name: str, columns: Optional[tuple[str, ...]] = None):
     return deco
 
 
-def experiment_names() -> tuple[str, ...]:
-    return tuple(sorted(_EXPERIMENTS))
-
-
 @dataclass
 class ReplicateReport:
     """Result of one Monte Carlo campaign."""
@@ -129,7 +125,7 @@ def run_replicates(
     """
     if experiment not in _EXPERIMENTS:
         raise UsageError(
-            f"unknown experiment {experiment!r}; known: {', '.join(experiment_names())}"
+            f"unknown experiment {experiment!r}; known: {', '.join(sorted(_EXPERIMENTS))}"
         )
     if replicates < 1:
         raise DomainError("replicate count must be >= 1")
@@ -225,11 +221,15 @@ def _gamma_upper_reg(a: float, x: float) -> float:
     return min(1.0, math.fsum([head, *terms]))
 
 
-def chi_square_gof(observed, probs, min_expected: float = 5.0):
+# The least expected count of a chi-square cell.
+_MIN_EXPECTED = 5.0
+
+
+def chi_square_gof(observed, probs):
     """Pearson chi-square test of counts against cell probabilities.
 
     Starved cells are merged inward from both tails until every expected
-    count reaches ``min_expected``; remaining starvation is an error.
+    count reaches ``_MIN_EXPECTED``; remaining starvation is an error.
     Returns ``(statistic, dof, p_value)`` with ``dof = cells - 1``.
     """
     obs = [float(o) for o in observed]
@@ -239,19 +239,19 @@ def chi_square_gof(observed, probs, min_expected: float = 5.0):
     if abs(math.fsum(prb) - 1.0) > 1e-9:
         raise DomainError("cell probabilities must sum to 1")
     n = math.fsum(obs)
-    while len(obs) > 1 and n * prb[-1] < min_expected:
+    while len(obs) > 1 and n * prb[-1] < _MIN_EXPECTED:
         obs[-2] += obs[-1]
         prb[-2] += prb[-1]
         del obs[-1], prb[-1]
-    while len(obs) > 1 and n * prb[0] < min_expected:
+    while len(obs) > 1 and n * prb[0] < _MIN_EXPECTED:
         obs[1] += obs[0]
         prb[1] += prb[0]
         del obs[0], prb[0]
     expected = [n * p for p in prb]
-    if any(e < min_expected for e in expected) or len(obs) < 2:
+    if any(e < _MIN_EXPECTED for e in expected) or len(obs) < 2:
         raise DomainError(
             f"cell starvation: {len(obs)} cells left with an expected count "
-            f"below {min_expected}"
+            f"below {_MIN_EXPECTED}"
         )
     stat = math.fsum((o - e) ** 2 / e for o, e in zip(obs, expected))
     dof = len(obs) - 1

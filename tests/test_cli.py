@@ -6,9 +6,12 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import threshnet
 from threshnet.cli import build_parser, main
@@ -120,6 +123,105 @@ def test_usage_error_no_partial_output(tmp_path):
 
 def test_unknown_command_usage_error():
     assert run(["frobnicate"]) == 1
+
+
+_SPATIAL = ["spatial", "--d", "2", "--beta", "2", "--lambda", "1", "--theta", "1",
+            "--r", "3", "--dist", "uniform:0,1", "--R", "5"]
+
+
+@pytest.mark.parametrize("args, config, named", [
+    (["degree", "--dist", "uniform:0,1", "--theta", "nan", "--n", "50", "--R", "5"], None,
+     "--theta"),
+    (["limits", "--table", "degree-pmf", "--dist", "uniform:0,1", "--theta", "nan",
+      "--n", "3"], None, "--theta"),
+    (["motif", "--dist", "uniform:0,1", "--theta", "nan", "--n", "10",
+      "--motif", "k=3;edges=1-2,2-3,3-1"], None, "--theta"),
+    (["limits", "--table", "summary", "--dist", "twopoint:0,0.5,inf", "--theta", "1"], None,
+     "two_point"),
+    (["limits", "--table", "summary", "--dist", "pareto:inf,2", "--theta", "1"], None,
+     "pareto"),
+    (["limits", "--table", "summary", "--dist", "discrete:0:nan,1:1", "--theta", "1"], None,
+     "discrete"),
+    (_SPATIAL + ["--beta", "nan"], None, "--beta"),
+    (_SPATIAL + ["--x0", "nan"], None, "--x0"),
+    (_SPATIAL + ["--lambda", "inf"], None, "--lambda"),
+    (_SPATIAL + ["--r", "nan"], None, "--r"),
+    (["degree", "--dist", "uniform:0,1", "--theta", "1", "--R", "5"], {"n": 10.7}, "--n"),
+    (["degree", "--dist", "uniform:0,1", "--theta", "1", "--R", "5"], {"n": True}, "--n"),
+    (["degree", "--dist", "uniform:0,1", "--n", "5", "--R", "5"], {"theta": math.nan},
+     "--theta"),
+    (["limits", "--dist", "uniform:0,1", "--theta", "1"], {"table": "nope"}, "--table"),
+])
+def test_outside_numbers_are_checked(tmp_path, capsys, args, config, named):
+    # a config file value takes its flag's type and checks
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args = args + ["--config", str(cfg)]
+    assert run(args + ["--out", str(tmp_path / "r.json")]) == 1
+    assert named in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] in ([], ["cfg.json"])
+
+
+@pytest.mark.parametrize("command", [
+    ["limits", "--table", "summary"], ["pair", "--n", "10", "--R", "3"]])
+def test_split_support_at_adjacent_floats(tmp_path, command):
+    # theta - 1 and theta / 2 are adjacent floats: no light-heavy edge exists
+    out = tmp_path / "r.json"
+    assert run(command + ["--dist", "uniform:0,1", "--theta", "1.9999999999999998",
+                          "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["split_support"] is False and report["split_support_witness"] is None
+
+
+# Each command's required options besides --dist and --theta, and values
+# that each option must refuse.
+_REQUIRED = {
+    "degree": {"--n": "20", "--R": "3"},
+    "pair": {"--n": "20", "--R": "3"},
+    "triangles": {"--n": "20"},
+    "motif": {"--n": "10", "--motif": "k=3;edges=1-2,2-3,3-1"},
+    "local": {"--n": "20", "--R": "3"},
+    "limits": {"--table": "summary"},
+    "spatial": {"--d": "2", "--beta": "2", "--lambda": "1", "--r": "3", "--R": "3"},
+    "clt-check": {"--d": "2", "--beta": "2", "--lambda": "1", "--r": "3", "--R": "3",
+                  "--Cr": "1"},
+}
+_REFUSED = {
+    **dict.fromkeys(("theta", "beta", "lam", "x0", "Cr"), [math.nan, math.inf, -math.inf, "x"]),
+    "r": [math.nan, "x"],
+    **dict.fromkeys(("n", "R", "d", "seed", "grid", "density_samples"),
+                    [10.7, True, "x", math.nan]),
+    **dict.fromkeys(("table", "mode", "fmt"), ["nope", 1]),
+    "dist": ["gauss:0,1", "uniform:0", "pareto:inf,2", "twopoint:0,0.5,inf",
+             "discrete:0:nan,1:1", "exp:nan", "point:inf", True],
+    "motif": ["k=3;edges=1-9", "k=x"],
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_usage_errors_leave_no_output_property(data):
+    # a required option left out, or a refused value given by flag or config file
+    command = data.draw(st.sampled_from(sorted(_REQUIRED)))
+    flags = build_parser().config_flags[command]
+    options = {"--dist": "uniform:0,1", "--theta": "1", **_REQUIRED[command]}
+    via = data.draw(st.sampled_from(["missing", "flag", "config"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        if via == "missing":
+            del options[data.draw(st.sampled_from(sorted(options)))]
+        else:
+            key = data.draw(st.sampled_from(sorted(set(_REFUSED) & set(flags))))
+            value = data.draw(st.sampled_from(_REFUSED[key]))
+            options.pop(flags[key], None)
+            if via == "flag":
+                options[flags[key]] = value if isinstance(value, str) else json.dumps(value)
+            else:
+                (Path(tmp) / "cfg.json").write_text(json.dumps({key: value}))
+                options["--config"] = str(Path(tmp) / "cfg.json")
+        argv = [command, *(token for item in options.items() for token in item)]
+        assert run(argv + ["--out", str(Path(tmp) / "r.json")]) == 1
+        assert sorted(os.listdir(tmp)) in ([], ["cfg.json"])
 
 
 def test_bad_dist_spec_usage_error(tmp_path):

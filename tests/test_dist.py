@@ -6,6 +6,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from threshnet import dist, limits, spatial
 from threshnet.errors import DomainError, NumericError
@@ -28,15 +30,9 @@ def test_cdf_examples():
 
 
 def test_quantile_examples():
-    assert dist.uniform(0, 1).quantile(0.25) == pytest.approx(0.25)
-    assert dist.exponential(1.0).quantile(1 - math.exp(-2)) == pytest.approx(2.0)
-    assert dist.two_point(0.2, 0.5, 0.9).quantile(0.7) == 0.9
-
-
-def test_quantile_domain_errors():
-    for p in (0.0, 1.0, -0.1, 1.5):
-        with pytest.raises(DomainError):
-            dist.uniform(0, 1).quantile(p)
+    assert dist.uniform(0, 1)._ppf(0.25) == pytest.approx(0.25)
+    assert dist.exponential(1.0)._ppf(1 - math.exp(-2)) == pytest.approx(2.0)
+    assert dist.two_point(0.2, 0.5, 0.9)._ppf(0.7) == 0.9
 
 
 @pytest.mark.parametrize("d", ALL_KINDS, ids=lambda d: d.kind)
@@ -45,23 +41,23 @@ def test_generalized_inverse(d):
     for p in rng.random(1000):
         if not 0.0 < p < 1.0:
             continue
-        q = d.quantile(p)
+        q = d._ppf(p)
         assert d.cdf(q) >= p - 1e-12
     # quantile(cdf(x)) <= x at points carrying mass
     if d.is_discrete:
         xs = [x for x, _ in d.atoms()]
     else:
-        xs = [d.quantile(float(p)) for p in rng.random(200) if 0 < p < 1]
+        xs = [d._ppf(float(p)) for p in rng.random(200) if 0 < p < 1]
     for x in xs:
         c = d.cdf(x)
         if 0.0 < c < 1.0:
-            assert d.quantile(c) <= x + 1e-12
+            assert d._ppf(c) <= x + 1e-12
 
 
 def test_cdf_shape_on_grid():
     for d in ALL_KINDS:
         lo, hi = d.support()
-        hi_eff = hi if math.isfinite(hi) else d.quantile(0.999) + 1.0
+        hi_eff = hi if math.isfinite(hi) else d._ppf(0.999) + 1.0
         grid = np.linspace(lo - 1.0, hi_eff + 1.0, 500)
         vals = d.cdf(grid)
         assert np.all(np.diff(vals) >= -1e-15)
@@ -114,7 +110,7 @@ def test_expectation_nonfinite_integrand():
 )
 def test_expectation_indicator_tail(d):
     # tail expectations must match 1 - cdf to quadrature accuracy
-    ts = np.linspace(d.quantile(0.01), d.quantile(0.99), 100)
+    ts = np.linspace(d._ppf(0.01), d._ppf(0.99), 100)
     for t in ts:
         val = dist.expectation(d, lambda x, t=t: np.where(x > t, 1.0, 0.0))
         assert abs(val - (1.0 - d.cdf(float(t)))) < 1e-8
@@ -198,7 +194,7 @@ def test_quad_checked_nonfinite_integrand():
 
 def test_quad_checked_exhausted_budget():
     with pytest.raises(NumericError, match="budget"):
-        dist.quad_checked(lambda s: np.sin(200.0 * s * s), 0.0, 10.0, limit=16)
+        dist.quad_checked(lambda s: np.sin(200.0 * s * s), 0.0, 10.0)
 
 
 def test_quad_checked_domain():
@@ -257,7 +253,7 @@ def test_quad_checked_batch_errors_name_the_row():
         dist.quad_checked(lambda s: np.where(s > 5.2, np.inf, 1.0), lo, hi)
     with pytest.raises(NumericError, match=r"\[0.0, 10.0\] exhausted its budget"):
         dist.quad_checked(lambda s: np.sin(200.0 * s * s), np.zeros(2),
-                          np.array([1.0, 10.0]), limit=16)
+                          np.array([1.0, 10.0]))
 
 
 def test_expectation_calls_g_on_node_arrays():
@@ -498,7 +494,7 @@ def test_split_support_examples():
 def _split_support_oracle(d, theta):
     """Brute-force scan over a fine support grid with epsilon mass probes."""
     lo, hi = d.support()
-    hi_eff = hi if math.isfinite(hi) else d.quantile(1 - 1e-3)
+    hi_eff = hi if math.isfinite(hi) else d._ppf(1 - 1e-3)
     grid = list(np.linspace(lo, hi_eff, 4001))
     if d.is_discrete:
         grid = [x for x, _ in d.atoms()]
@@ -521,6 +517,97 @@ def test_split_support_matches_grid_oracle(d, theta):
     if holds:
         u, v = wit
         assert u < theta / 2 < v and u + v > theta
+
+
+def test_split_support_adjacent_floats():
+    # theta - 1 and theta / 2 are adjacent floats: no float u lies between them
+    theta = 1.9999999999999998
+    assert math.nextafter(theta - 1.0, 1.0) == theta / 2
+    assert dist.check_split_support(dist.uniform(0, 1), theta) == (False, None)
+
+
+# Random laws of each kind.
+_LAWS = {
+    "uniform": st.tuples(st.floats(-2, 2), st.floats(0.05, 3)).map(
+        lambda t: dist.uniform(t[0], t[0] + t[1])),
+    "exponential": st.floats(0.1, 5).map(dist.exponential),
+    "pareto": st.tuples(st.floats(0.2, 3), st.floats(0.3, 5)).map(lambda t: dist.pareto(*t)),
+    "two_point": st.tuples(st.floats(-1, 2), st.floats(0.01, 0.99), st.floats(0.01, 2)).map(
+        lambda t: dist.two_point(t[0], t[1], t[0] + t[2])),
+    "discrete": st.lists(st.tuples(st.floats(-1, 3), st.integers(1, 9)), min_size=1,
+                         max_size=5, unique_by=lambda atom: atom[0]).map(
+        lambda atoms: dist.finite_discrete(
+            [(x, w / sum(w for _, w in atoms)) for x, w in atoms])),
+    "point": st.floats(-2, 2).map(dist.point_mass),
+}
+
+
+def _anchors(law):
+    """The thetas where the verdict can change: 2 inf, inf + sup, 2 sup, and
+    for atom laws 2x and x + sup at every atom x."""
+    lo, hi = law.support()
+    xs = [x for x, _ in law.atoms()] if law.is_discrete else [lo]
+    return [t for t in (*(2 * x for x in xs), *(x + hi for x in xs), 2 * hi) if math.isfinite(t)]
+
+
+def _nudged(anchor, data):
+    """``anchor`` moved by a few ulps, or by a relative step of 1e-15 to 1."""
+    if data.draw(st.booleans()):
+        theta = anchor
+        for _ in range(data.draw(st.integers(1, 3))):
+            theta = math.nextafter(theta, data.draw(st.sampled_from([-math.inf, math.inf])))
+        return theta
+    step = 10.0 ** data.draw(st.floats(-15, 0)) * max(1.0, abs(anchor))
+    return anchor + data.draw(st.sampled_from([-1.0, 1.0])) * step
+
+
+@pytest.mark.parametrize("kind", sorted(_LAWS))
+def test_split_support_witness_is_valid_property(kind):
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_LAWS[kind], st.data())
+    def check(law, data):
+        if data.draw(st.booleans()):
+            theta = _nudged(data.draw(st.sampled_from(_anchors(law))), data)
+        else:
+            theta = data.draw(st.one_of(st.floats(-3, 40),
+                                        st.floats(allow_nan=False, allow_infinity=False)))
+        holds, wit = dist.check_split_support(law, theta)
+        if not holds:
+            assert wit is None
+            return
+        u, v = wit
+        assert u < theta / 2 < v and u + v > theta
+        lo, hi = law.support()
+        if law.is_discrete:
+            assert {u, v} <= {x for x, _ in law.atoms()}
+        else:
+            assert lo <= u and v <= hi and math.isfinite(v)
+
+    check()
+
+
+@pytest.mark.parametrize("kind", sorted(_LAWS))
+def test_split_support_matches_grid_oracle_property(kind):
+    # The oracle resolves the support to its grid step (atoms to 1e-9), so
+    # theta keeps that far from every anchor, and below the grid's top for
+    # unbounded laws.
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(_LAWS[kind], st.data())
+    def check(law, data):
+        lo, hi = law.support()
+        top = hi if math.isfinite(hi) else law._ppf(1 - 1e-3)
+        gap = 1e-6 * max(1.0, abs(top)) if law.is_discrete else 4 * (top - lo) / 4000
+        anchors = _anchors(law)
+        if data.draw(st.booleans()):
+            theta = data.draw(st.sampled_from(anchors)) + data.draw(
+                st.sampled_from([-1.0, 1.0])) * data.draw(st.floats(1.0, 100.0)) * gap
+        else:
+            theta = data.draw(st.floats(2 * lo - 1.0, 2 * top + 1.0))
+        assume(all(abs(theta - anchor) >= gap for anchor in anchors))
+        assume(math.isfinite(hi) or theta < 2 * (top - gap))
+        assert dist.check_split_support(law, theta)[0] == _split_support_oracle(law, theta)
+
+    check()
 
 
 # ---------------------------------------------------------------------------

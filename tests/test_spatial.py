@@ -210,8 +210,7 @@ def test_origin_degree_pmf_far_count():
 
 def test_direct_sampler_trivial_regimes():
     s = make_stream(1)
-    assert spatial.sample_origin_degree_direct(CFG, UNI, 0.5, s,
-                                               point_cap=1e6) >= 0
+    assert spatial.sample_origin_degree_direct(CFG, UNI, 0.5, s) >= 0
     # no connection possible: constant distance penalty far above any sum
     hard = spatial.SpatialConfig(d=2, beta=0.0, theta=100.0, lam=1.0, r=3.0)
     assert all(
