@@ -134,7 +134,8 @@ def _merge_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 def _require(cfg: dict, *keys: str) -> None:
     missing = [k for k in keys if cfg.get(k) is None]
     if missing:
-        raise UsageError(f"missing required option(s): {', '.join('--' + m for m in missing)}")
+        flags = build_parser().config_flags[cfg["command"]]
+        raise UsageError(f"missing required option(s): {', '.join(flags[m] for m in missing)}")
 
 
 def _parse(parse_fn, spec: str):

@@ -17,24 +17,20 @@ kind                  params                         support
 
 The pareto kind has CDF ``1 - scale_c * x**(-alpha)`` on its support.
 
-Expectations against the law are computed by quantile transform: continuous
-kinds integrate ``g(quantile(u))`` over ``u in (0, 1)`` (so unbounded
-supports need no truncation), discrete kinds sum atoms exactly.  Atoms are
-never smoothed.  The upper part of (0, 1) is integrated in ``v = 1 - u``
-through the upper-tail quantile, so no node rounds onto ``u = 1`` and
-finite tail moments of unbounded laws stay finite.  :func:`expect_rows`,
-the one partial expectation E[g(X); lo < X <= hi] the oracles build on,
-runs in ``v`` alone: every lower support end is finite, so ``v`` loses
-nothing there.
+Expectations against the law run in the tail level ``v = sf(x)``: for a
+continuous law :func:`expect_rows`, the one partial expectation
+E[g(X); lo < X <= hi], integrates ``g(isf(v))`` over [sf(hi), sf(lo)], so
+unbounded supports need no truncation and no node rounds onto an infinite
+upper end; a lower support end is finite, and v resolves it only to the
+spacing of floats near 1, about 1.1e-16.  Atom laws sum atoms exactly.
 
 One integrator does all the quadrature: :func:`quad_checked`, composite
 21-node Gauss-Legendre panels on a finite ``[lo, hi]`` that start at the
 caller's breakpoints and are refined by halving, every level in one call of
 the integrand.  Given arrays of bounds it integrates all rows in one batch,
-each row exactly as a call of its own.  :func:`expectation` runs it on two
-seed partitions of (0, 1) in one batch and certifies the value by their
-agreement; :func:`expect_rows` runs it on one row per range.  An unbounded
-range is always integrated in quantile space.
+each row exactly as a call of its own.  :func:`expect_rows` runs it on one
+row per range; :func:`expectation` runs :func:`expect_rows` on two seed
+partitions in one batch and certifies the value by their agreement.
 
 Every integrand is elementwise: it maps an array of points to an array of
 values (a constant is broadcast), and its value at a point must not depend
@@ -210,6 +206,10 @@ def exponential(rate: float) -> WeightDistribution:
 def pareto(scale_c: float, alpha: float) -> WeightDistribution:
     if not (0.0 < scale_c < math.inf and 0.0 < alpha < math.inf):
         raise DomainError("pareto requires finite scale_c > 0 and alpha > 0")
+    with np.errstate(over="ignore"):  # the lower support bound; an overflow gives inf
+        low = np.float64(scale_c) ** (1.0 / alpha)
+    if not 0.0 < low < math.inf:
+        raise DomainError(f"pareto needs 0 < scale_c**(1/alpha) < inf in floats, got {low}")
     return WeightDistribution("pareto", (float(scale_c), float(alpha)))
 
 
@@ -294,36 +294,29 @@ def expectation(dist: WeightDistribution, g) -> float:
     """Integrate ``g`` against the weight law.
 
     Discrete kinds sum atoms exactly through :func:`expect_rows`.
-    Continuous kinds integrate ``g(quantile(u))`` over ``u in (0, 1)`` with
-    :func:`quad_checked`, once per seed partition of (0, 1) into equal cells:
-    the lower cells as a row in ``u`` through the quantile, the upper ones as
-    a row in ``v = 1 - u`` through the upper-tail quantile, both cut at the
-    seed edges.  ``g`` is
-    elementwise: it maps a 1-D array of weights (at most ``_NODES_PER_CALL``
-    quadrature nodes, or all atoms of a discrete law) to an array of values
-    of the same shape, or to a constant, and must be finite wherever the law
-    has mass.
+    Continuous kinds run each seed partition, k equal cells of the tail
+    level cut at the weights ``isf(j/k)``, as two :func:`expect_rows` rows
+    split at ``isf((k//2)/k)``; the 8- and 7-cell passes share a batch.
+    ``g`` is elementwise: it maps a 1-D array of weights (at most
+    ``_NODES_PER_CALL`` nodes, or all atoms of a discrete law) to an array
+    of values of the same shape, or to a constant, and must be finite
+    wherever the law has mass.
     """
     if dist.is_discrete:
         return expect_rows(dist, g, -math.inf, math.inf)
 
-    def integrand(t, upper):
-        xs = np.empty_like(t)
-        xs[~upper] = dist._ppf(t[~upper])
-        xs[upper] = dist._isf(t[upper])
-        return np.concatenate([
-            _values_at(g, xs[i:i + _NODES_PER_CALL], "x")
-            for i in range(0, xs.size, _NODES_PER_CALL)
-        ])
+    def chunked(xs):
+        return np.concatenate([_values_at(g, xs[i:i + _NODES_PER_CALL], "x")
+                               for i in range(0, xs.size, _NODES_PER_CALL)])
 
     def passes(seed_counts):
-        # rows (u, v) of each partition, cut at its seed edges j/k
-        hi = [[(k + 1) // 2 / k, k // 2 / k] for k in seed_counts]
+        # rows (middle edge, inf] and (-inf, middle edge] of each partition
         edges = np.full((2 * len(seed_counts), max(seed_counts) - 1), np.nan)
+        lo, hi = np.full(edges.shape[0], -math.inf), np.full(edges.shape[0], math.inf)
         for i, k in enumerate(seed_counts):
-            edges[2 * i:2 * i + 2, :k - 1] = np.arange(1, k) / k
-        values = quad_checked(integrand, 0.0, np.ravel(hi), points=edges,
-                              args=(np.tile([False, True], len(seed_counts)),))
+            edges[2 * i:2 * i + 2, :k - 1] = dist._isf(np.arange(1, k) / k)
+            lo[2 * i] = hi[2 * i + 1] = edges[2 * i, k // 2 - 1]
+        values = expect_rows(dist, chunked, lo, hi, points=edges)
         return (values[0::2] + values[1::2]).tolist()
 
     # Two passes over incommensurate seed partitions.  A jump of g can hide
@@ -416,7 +409,7 @@ _GL_WEIGHTS = np.array([
 # by width, or at the floors below it: an error of _QUAD_FLOOR_RTOL of the
 # integral of |f|, or a width of _QUAD_MIN_WIDTH of the row.  A row's summed
 # error estimate above _QUAD_FAIL_RTOL raises, and so does a row that needs more
-# panels than the larger of _QUAD_PANELS and two per breakpoint plus 16.
+# than _QUAD_PANELS panels.
 _QUAD_RTOL = 1e-11
 _QUAD_FLOOR_RTOL = 1e-13
 _QUAD_MIN_WIDTH = 1e-14
@@ -435,23 +428,21 @@ def quad_checked(f, lo, hi, *, points=None, args=()):
     ``f`` is called as ``f(nodes, *(a[row] for a in args))``.
 
     ``lo`` and ``hi`` must be finite.  A row's first panels run between its
-    breakpoints that lie inside (lo, hi).
-    Each level evaluates every open panel's halves (and, at the first level,
-    the panel itself) of every row in one call of ``f``; a panel closes when
-    whole and halves agree within its width's share of 1e-11 times its
-    row's integral of |f|, or within 1e-13 of that integral, or when it is
-    at most 1e-14 of its row's width, and its halves' sum is kept.  That
-    integral is the largest of the levels' estimates (kept panels plus open
-    halves), so mass that the first nodes barely reach, such as a narrow
-    peak, raises the scale instead of holding every panel to a tolerance
-    far below rounding.  Each row returns the ``fsum`` of its own kept
-    panels, so it equals a call on that row alone bit for bit.  Raises
-    NumericError, naming the row's span, on a non-finite integrand value,
-    when a row needs more panels than the larger of ``_QUAD_PANELS`` and two
-    per breakpoint plus 16, or when a row's summed error estimate
-    exceeds 1e-6 of its integral of |f|, and DomainError on an infinite
-    bound or ``lo > hi``.  Returns a float for scalar ``lo`` and ``hi``,
-    else an array.
+    breakpoints that lie inside (lo, hi), all rows in one call of ``f``.
+    Each level evaluates every open panel's halves of every row in one call
+    of ``f``; a panel closes when whole and halves agree within its width's
+    share of 1e-11 times its row's integral of |f|, or within 1e-13 of that
+    integral, or when it is at most 1e-14 of its row's width, and its
+    halves' sum is kept.  That integral is the largest of the levels'
+    estimates (kept panels plus open halves), so mass that the first nodes
+    barely reach, such as a narrow peak, raises the scale instead of holding
+    every panel to a tolerance far below rounding.  Each row returns the
+    ``fsum`` of its own kept panels, so it equals a call on that row alone
+    bit for bit.  Raises NumericError, naming the row's span, on a
+    non-finite integrand value, when a row needs more than ``_QUAD_PANELS``
+    panels, or when a row's summed error estimate exceeds 1e-6 of its
+    integral of |f|, and DomainError on an infinite bound or ``lo > hi``.
+    Returns a float for scalar ``lo`` and ``hi``, else an array.
     """
     scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
     los, his = (v.tolist() for v in np.broadcast_arrays(
@@ -464,14 +455,13 @@ def quad_checked(f, lo, hi, *, points=None, args=()):
         return f"[{los[i]}, {his[i]}]"
 
     # each row's first panels run between its cuts
-    a0, b0, rows0, budget = [], [], [], [0] * m
+    a0, b0, rows0 = [], [], []
     for i, (l, h) in enumerate(zip(los, his)):
         if not (math.isfinite(l) and math.isfinite(h) and l <= h):
             raise DomainError(f"quadrature needs a finite lo <= hi, got {span(i)}")
         if l == h:
             continue
         cuts = sorted({p for p in cut_rows[i] if l < p < h})
-        budget[i] = max(_QUAD_PANELS, 2 * len(cuts) + 16)
         a0 += [l, *cuts]
         b0 += [*cuts, h]
         rows0 += [i] * (len(cuts) + 1)
@@ -498,19 +488,18 @@ def quad_checked(f, lo, hi, *, points=None, args=()):
         return (half * (vals * _GL_WEIGHTS).sum(axis=1),
                 half * (np.abs(vals) * _GL_WEIGHTS).sum(axis=1))
 
-    # first level: the panels themselves, then their halves
     a, b, row = np.array(a0), np.array(b0), np.array(rows0)
-    n = a.size
-    mid = 0.5 * (a + b)
-    est, mass = panels(np.concatenate([a, a, mid]), np.concatenate([b, mid, b]),
-                       np.concatenate([row, row, row]))
-    whole, est, halves = est[:n], est[n:], mass[n:]
-    width, budget = np.subtract(his, los), np.array(budget)
+    whole, _ = panels(a, b, row)
+    width = np.subtract(his, los)
     n_kept = np.zeros(m, dtype=np.int64)
     # each row's integral of |f|, the largest of its levels' estimates
     scale, kept_mass = np.zeros(m), np.zeros(m)
     kept_values, kept_errors, kept_rows = [], [], []
     while True:
+        n = a.size
+        mid = 0.5 * (a + b)
+        est, halves = panels(np.concatenate([a, mid]), np.concatenate([mid, b]),
+                             np.concatenate([row, row]))
         left, right = est[:n], est[n:]
         pair_mass = halves[:n] + halves[n:]
         scale = np.maximum(scale, kept_mass + np.bincount(row, pair_mass, minlength=m))
@@ -526,20 +515,15 @@ def quad_checked(f, lo, hi, *, points=None, args=()):
         split = ~done
         if not split.any():
             break
-        over = n_kept + 2 * np.bincount(row[split], minlength=m) > budget
+        over = n_kept + 2 * np.bincount(row[split], minlength=m) > _QUAD_PANELS
         if over.any():
             i = int(np.flatnonzero(over)[0])
             raise NumericError(
-                f"quadrature on {span(i)} exhausted its budget of {budget[i]} panels"
-            )
+                f"quadrature on {span(i)} exhausted its budget of {_QUAD_PANELS} panels")
         a = np.concatenate([a[split], mid[split]])
         b = np.concatenate([mid[split], b[split]])
         whole = est[np.concatenate([split, split])]
         row = np.concatenate([row[split], row[split]])
-        n = a.size
-        mid = 0.5 * (a + b)
-        est, halves = panels(np.concatenate([a, mid]), np.concatenate([mid, b]),
-                             np.concatenate([row, row]))
     kept_rows = np.concatenate(kept_rows)
     order = np.argsort(kept_rows)
     ends = np.cumsum(np.bincount(kept_rows, minlength=m)).tolist()
@@ -552,10 +536,8 @@ def quad_checked(f, lo, hi, *, points=None, args=()):
         values[i] = value = math.fsum(kept_values[start:end])
         error = math.fsum(kept_errors[start:end])
         if error > _QUAD_FAIL_RTOL * scale[i]:
-            raise NumericError(
-                f"quadrature did not converge on {span(i)}: "
-                f"value={value}, error estimate={error}"
-            )
+            raise NumericError(f"quadrature did not converge on {span(i)}: "
+                               f"value={value}, error estimate={error}")
     return float(values[0]) if scalar else values
 
 

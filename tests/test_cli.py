@@ -151,6 +151,12 @@ _SPATIAL = ["spatial", "--d", "2", "--beta", "2", "--lambda", "1", "--theta", "1
     (["degree", "--dist", "uniform:0,1", "--n", "5", "--R", "5"], {"theta": math.nan},
      "--theta"),
     (["limits", "--dist", "uniform:0,1", "--theta", "1"], {"table": "nope"}, "--table"),
+    (["limits", "--table", "summary", "--dist", "pareto:10,0.001", "--theta", "1"], None,
+     "pareto"),
+    (["degree", "--dist", "pareto:10,0.001", "--theta", "1", "--n", "10", "--R", "2"], None,
+     "pareto"),
+    (["limits", "--table", "summary", "--dist", "pareto:0.1,0.001", "--theta", "1"], None,
+     "pareto"),
 ])
 def test_outside_numbers_are_checked(tmp_path, capsys, args, config, named):
     # a config file value takes its flag's type and checks
@@ -287,6 +293,13 @@ def test_config_null_required_key_is_named(tmp_path, capsys):
     out = tmp_path / "d.json"
     assert run(["degree", "--config", str(cfg), "--out", str(out)]) == 1
     assert "missing required option(s): --R" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_missing_option_is_named_by_its_flag(tmp_path, capsys):
+    out = tmp_path / "s.json"
+    assert run(_SPATIAL[:5] + _SPATIAL[7:] + ["--out", str(out)]) == 1  # no --lambda 1
+    assert "missing required option(s): --lambda" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -290,7 +290,8 @@ def test_expectation_exhausted_budget():
 def test_expectation_unresolved_singularity():
     # x**-0.9 is integrable, but its mass below the panel width floor of
     # 1e-14 of the row is 4% of the total, far above the error a row may keep
-    with pytest.raises(NumericError, match="did not converge"):
+    with pytest.raises(NumericError,
+                       match=r"\[0.4285714285714286, 1.0\] exhausted its budget of 256 panels"):
         dist.expectation(dist.uniform(0, 1), lambda x: x**-0.9)
 
 
@@ -396,6 +397,18 @@ def test_expectation_equals_depth_first_reference(law, name):
         law = dist.pareto(1.0, 8.0)  # pareto(1, 1) has no finite mean
     g = _INTEGRANDS[name](law)
     assert dist.expectation(law, g) == pytest.approx(_reference_expectation(law, g), rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["x", "x2", "indicator", "triangle-h1"])
+@pytest.mark.parametrize("law", ALL_KINDS, ids=lambda d: d.kind)
+def test_expectation_equals_one_uncertified_row(law, name):
+    # the certified passes and one expect_rows row over the whole line agree;
+    # the indicator jumps at 0.6, away from every seed edge
+    if name in ("x", "x2") and law.kind == "pareto":
+        law = dist.pareto(1.0, 8.0)  # pareto(1, 1) has no finite mean
+    g = _INTEGRANDS[name](law)
+    row = dist.expect_rows(law, g, -math.inf, math.inf)
+    assert dist.expectation(law, g) == pytest.approx(row, rel=5e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -627,6 +640,16 @@ def test_constructor_validation():
         dist.finite_discrete([(0.1, 0.6), (0.2, 0.5)])  # sums to 1.1
     with pytest.raises(DomainError):
         dist.finite_discrete([(0.1, 0.5), (0.1, 0.5)])  # duplicate atom
+
+
+@pytest.mark.parametrize("scale_c, alpha", [(10.0, 0.001), (0.1, 0.001)],
+                         ids=["overflow", "underflow"])
+def test_pareto_refuses_a_lower_bound_outside_floats(scale_c, alpha):
+    # scale_c**(1/alpha) is 10**1000 or 0.1**1000, not a positive finite float
+    with pytest.raises(DomainError, match="pareto"):
+        dist.pareto(scale_c, alpha)
+    with pytest.raises(DomainError, match="pareto"):
+        dist.parse_dist(f"pareto:{scale_c},{alpha}")
 
 
 def test_parse_dist():
