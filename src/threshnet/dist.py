@@ -17,6 +17,10 @@ kind                  params                         support
 
 The pareto kind has CDF ``1 - scale_c * x**(-alpha)`` on its support.
 
+Sampling is the inverse transform of ``stream.random``.  An array draw is
+transformed in place by the same formulas as the quantile, so the returned
+array is the only one of the draw's size; a scalar draw is a Python float.
+
 Expectations against the law run in the tail level ``v = sf(x)``: for a
 continuous law :func:`expect_rows`, the one partial expectation
 E[g(X); lo < X <= hi], integrates ``g(isf(v))`` over [sf(hi), sf(lo)], so
@@ -53,6 +57,9 @@ _DISCRETE_KINDS = ("two_point", "discrete", "point")
 
 # Probability tolerance for validating discrete weights.
 _PROB_TOL = 1e-12
+
+# Values per block of an in-place array draw: bounds its index temporaries.
+_SAMPLE_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -131,20 +138,32 @@ class WeightDistribution:
             out = tail[np.searchsorted(vals, xv, side="right")]
         return float(out) if np.isscalar(x) or xv.ndim == 0 else out
 
-    def _ppf(self, u):
+    def _ppf(self, u, out=None):
         # The generalized inverse CDF inf{x : F(x) >= u} for 0 < u < 1, and
-        # the lower support bound at u = 0, which the sampler can draw.
+        # the lower support bound at u = 0, which the sampler can draw.  With
+        # ``out`` (an array of u's shape, u itself allowed) the quantiles are
+        # written there; without it the input is never changed.
         if self.kind == "uniform":
             a, b = self.params
-            return a + (b - a) * u
+            x = np.multiply(u, b - a, out=out)
+            x += a
+            return x
         if self.kind == "exponential":
             (rate,) = self.params
-            return -np.log1p(-u) / rate
+            x = np.negative(np.log1p(np.negative(u, out=out), out=out), out=out)
+            x /= rate
+            return x
         if self.kind == "pareto":
             c, alpha = self.params
-            return (c / (1.0 - u)) ** (1.0 / alpha)
+            x = np.divide(c, np.subtract(1.0, u, out=out), out=out)
+            if np.ndim(x) == 0:
+                # a scalar keeps Python's power: numpy's array power rounds
+                # differently, and Python's raises on overflow
+                x = float(x)
+            x **= 1.0 / alpha
+            return x
         vals, cum, _ = self._atom_tables()
-        return vals[np.searchsorted(cum[1:], u, side="left")]
+        return np.take(vals, np.searchsorted(cum[1:], u, side="left"), out=out)
 
     def _isf(self, v):
         # The quantile at 1 - v, computed from v itself (continuous kinds), so
@@ -173,10 +192,16 @@ class WeightDistribution:
     # -- sampling ----------------------------------------------------------
 
     def sample(self, stream: np.random.Generator, size=None):
-        """Draw from the law by inverse transform of ``stream.random``."""
+        """Draw from the law by inverse transform of ``stream.random``; an
+        array draw is transformed in place, ``_SAMPLE_BLOCK`` values at a time."""
         u = stream.random(size)
-        out = self._ppf(u)
-        return float(out) if size is None else np.asarray(out, dtype=float)
+        if size is None:
+            return float(self._ppf(u))
+        flat = u.reshape(-1)
+        for start in range(0, flat.size, _SAMPLE_BLOCK):
+            block = flat[start:start + _SAMPLE_BLOCK]
+            self._ppf(block, out=block)
+        return u
 
     # -- misc --------------------------------------------------------------
 

@@ -3,7 +3,10 @@
 Vertices ``i != j`` are adjacent iff ``weights[i] + weights[j] > theta``
 (strict; a sum exactly at the threshold is no edge).  No adjacency matrix is
 ever materialized: every statistic runs off the ascending copy of the
-weights (a plain sort; no permutation is kept).
+weights (a plain sort; no permutation is kept).  A sampled graph holds the
+sampler's draw itself, never a copy of it; the triangle count of a fresh
+draw (:func:`sampled_triangle_count`) sorts the draw in place and keeps no
+draw-order labels, so one n-long array is all it holds.
 
 Counting identities used below, with weights sorted ascending
 ``w[0] <= ... <= w[n-1]`` and ``first(x)`` the first position p with
@@ -32,7 +35,7 @@ from .errors import DomainError
 from .stats import register_experiment
 
 # Sorted positions per block of count_triangles: bounds its temporaries.
-_TRIANGLE_BLOCK = 2**16
+_TRIANGLE_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -42,11 +45,16 @@ class GraphSample:
     n: int
     theta: float
     weights: np.ndarray
-    sorted_weights: np.ndarray = field(repr=False)  # ascending copy of weights
+    sorted_weights: np.ndarray = field(repr=False)  # weights in ascending order
 
     @classmethod
     def from_weights(cls, weights, theta: float) -> "GraphSample":
-        w = np.asarray(weights, dtype=float).copy()
+        """A graph on a copy of ``weights``; the caller's array is untouched."""
+        return cls._of_draw(np.array(weights, dtype=float), theta)
+
+    @classmethod
+    def _of_draw(cls, w: np.ndarray, theta: float) -> "GraphSample":
+        # Takes the float array w itself as the weights, read-only from now on.
         if w.ndim != 1 or w.size < 1:
             raise DomainError("weights must be a nonempty 1-D sequence")
         sw = np.sort(w)
@@ -58,10 +66,24 @@ class GraphSample:
 def sample_graph(
     dist: WeightDistribution, n: int, theta: float, stream: np.random.Generator
 ) -> GraphSample:
-    """Draw n i.i.d. weights; deterministic given the stream state."""
+    """Draw n i.i.d. weights; deterministic given the stream state.  The
+    graph holds the draw itself, in draw order, plus its sorted copy."""
     if n < 1:
         raise DomainError("graph needs at least one vertex")
-    return GraphSample.from_weights(dist.sample(stream, n), theta)
+    return GraphSample._of_draw(dist.sample(stream, n), theta)
+
+
+def sampled_triangle_count(
+    dist: WeightDistribution, n: int, theta: float, stream: np.random.Generator
+) -> int:
+    """Triangles of a fresh graph on n weights, the same count as
+    ``count_triangles(sample_graph(...))`` from the same stream state.  The
+    draw is sorted in place and counted as is, vertices labelled in weight
+    order, so it is the one n-long array held."""
+    w = dist.sample(stream, n)
+    w.sort()
+    w.flags.writeable = False
+    return count_triangles(GraphSample(n=n, theta=float(theta), weights=w, sorted_weights=w))
 
 
 def all_degrees(g: GraphSample) -> np.ndarray:
@@ -133,7 +155,8 @@ def count_local_triangles(g: GraphSample, vertex: int) -> int:
         raise DomainError(f"vertex must be in 1..{g.n}")
     xi = float(g.weights[vertex - 1])
     sw = g.sorted_weights
-    nb = sw[sw + xi > g.theta]
+    # sw + xi is ascending, so the neighbours are a suffix of sw
+    nb = sw[int(_first_adjacent(sw, g.theta, np.array([xi]))[0]):]
     if 2.0 * xi > g.theta:
         # the vertex itself is among its neighbours; drop one copy
         nb = np.delete(nb, np.searchsorted(nb, xi))
@@ -205,7 +228,7 @@ def _triangle_experiment(params: dict, streams) -> list:
     dist = parse_dist(params["dist"])
     n = check_vertex_count(params["n"], 3, "the triangle density")
     theta = float(params["theta"])
-    return [count_triangles(sample_graph(dist, n, theta, stream)) / math.comb(n, 3)
+    return [sampled_triangle_count(dist, n, theta, stream) / math.comb(n, 3)
             for stream in streams]
 
 

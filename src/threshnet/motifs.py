@@ -34,8 +34,9 @@ from .errors import CapacityError, DomainError
 from .graph import GraphSample
 
 MAX_MOTIF_VERTICES = 8
-# Weight tuples drawn at once by motif_probability_mc.
-_MC_BLOCK = 1_000_000
+# Weight tuples drawn at once by motif_probability_mc.  The stream fills a
+# draw row by row, so the estimate does not depend on the block size.
+_MC_BLOCK = 2**16
 
 
 @dataclass(frozen=True)

@@ -51,8 +51,17 @@ def test_cleared_caches_exist(module, attr):
     ("threshnet.dist", "quad_checked", "f", 0),
     ("threshnet.stats", "run_replicates", "replicates", 2),
     ("threshnet.stats", "ks_statistic", "cdf", 1),
+    ("threshnet.motifs", "count_motif_tuples", "g", 0),
+    ("threshnet.motifs", "count_motif_tuples", "motif", 1),
 ])
 def test_hooked_parameter_positions(module, function, parameter, position):
     assert f'{position}, "{parameter}")' in (BENCH / "spans.py").read_text()
     names = list(inspect.signature(_resolve(module, function)).parameters)
     assert names.index(parameter) == position
+
+
+def test_sample_size_position():
+    # spans.py counts draws from args[2], counting self
+    assert 'args[2] if len(args) > 2 else kwargs.get("size")' in (BENCH / "spans.py").read_text()
+    names = list(inspect.signature(_resolve("threshnet.dist", "WeightDistribution.sample")).parameters)
+    assert names.index("size") == 2

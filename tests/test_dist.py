@@ -83,6 +83,54 @@ def test_sampling_two_point_frequency():
     assert abs(float(np.mean(y == 0.2)) - 0.5) < 0.01
 
 
+def _reference_draw(law, u):
+    """The inverse transform as it ran out of place on the whole draw, kept
+    here as the reference for the in-place sampler."""
+    if law.kind == "uniform":
+        a, b = law.params
+        x = a + (b - a) * u
+    elif law.kind == "exponential":
+        (rate,) = law.params
+        x = -np.log1p(-u) / rate
+    elif law.kind == "pareto":
+        c, alpha = law.params
+        x = (c / (1.0 - u)) ** (1.0 / alpha)
+    else:
+        vals, cum, _ = law._atom_tables()
+        x = vals[np.searchsorted(cum[1:], u, side="left")]
+    return float(x) if np.ndim(u) == 0 else np.asarray(x, dtype=float)
+
+
+# pareto alpha = 2 and 1 take numpy's sqrt and copy fast paths for arrays
+SAMPLED_LAWS = ALL_KINDS + [dist.pareto(2.0, 2.0), dist.pareto(1.5, 3.0),
+                            dist.uniform(-2.0, 0.5), dist.exponential(0.3)]
+
+
+@pytest.mark.parametrize("size", [None, 7, 2**16 + 3, (5000, 4), (3, 2**15 + 1)],
+                         ids=["scalar", "n", "n-blocks", "rows", "rows-blocks"])
+@pytest.mark.parametrize("law", SAMPLED_LAWS, ids=lambda law: f"{law.kind}{law.params}")
+def test_sampling_matches_the_out_of_place_transform_bit_for_bit(law, size):
+    if size is None:
+        draws, uniforms = make_stream(21), make_stream(21)
+        for _ in range(500):
+            x = law.sample(draws)
+            assert type(x) is float and x == _reference_draw(law, uniforms.random())
+    else:
+        x = law.sample(make_stream(21), size)
+        ref = _reference_draw(law, make_stream(21).random(size))
+        assert x.dtype == np.float64 and x.shape == ref.shape
+        assert x.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("law", SAMPLED_LAWS, ids=lambda law: f"{law.kind}{law.params}")
+def test_ppf_leaves_its_input_unchanged(law):
+    u = np.linspace(0.0, 0.999, 101)
+    before = u.copy()
+    x = law._ppf(u)
+    assert u.flags.writeable and u.tobytes() == before.tobytes()
+    assert x.tobytes() == _reference_draw(law, before).tobytes()
+
+
 def test_sampling_determinism():
     a = dist.exponential(2.0).sample(make_stream(11), 1000)
     b = dist.exponential(2.0).sample(make_stream(11), 1000)

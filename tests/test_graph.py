@@ -3,6 +3,7 @@ parity against a dense-adjacency oracle."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,6 +98,55 @@ def test_sorted_view_invariants():
     assert not g.weights.flags.writeable and not g.sorted_weights.flags.writeable
 
 
+def test_from_weights_copies_once_and_leaves_the_caller_array():
+    w = np.array([0.9, 0.2, 0.6])
+    g = graph.GraphSample.from_weights(w, 1.0)
+    assert w.flags.writeable and w.tolist() == [0.9, 0.2, 0.6]
+    w[0] = 0.0
+    assert g.weights.tolist() == [0.9, 0.2, 0.6]
+    assert graph.GraphSample.from_weights([0.9, 0.2, 0.6], 1.0).weights.tolist() == [0.9, 0.2, 0.6]
+
+
+def test_sample_graph_holds_the_draw_itself(monkeypatch):
+    draws = []
+    sample = dist.WeightDistribution.sample
+
+    def recording(self, stream, size=None):
+        draws.append(sample(self, stream, size))
+        return draws[-1]
+
+    monkeypatch.setattr(dist.WeightDistribution, "sample", recording)
+    g = graph.sample_graph(dist.exponential(1.0), 100, 1.0, make_stream(3))
+    assert g.weights is draws[0]
+
+
+@pytest.mark.parametrize("law", [
+    dist.uniform(0.0, 1.0), dist.exponential(1.0), dist.pareto(1.0, 2.0),
+    dist.two_point(0.2, 0.5, 0.9), dist.finite_discrete([(0.1, 0.3), (0.5, 0.3), (0.8, 0.4)]),
+    dist.point_mass(0.6),
+], ids=lambda law: law.kind)
+def test_sampled_triangle_count_matches_the_sampled_graph(law):
+    for n in (3, 50, 2**14 + 7):
+        g = graph.sample_graph(law, n, 1.0, make_stream(n))
+        assert graph.sampled_triangle_count(law, n, 1.0, make_stream(n)) == graph.count_triangles(g)
+
+
+@pytest.mark.parametrize("law", [dist.exponential(1.0), dist.two_point(0.2, 0.5, 0.9)],
+                         ids=lambda law: law.kind)
+def test_sampled_triangle_count_holds_one_draw(law):
+    # draw, sort and count together stay under two n-long float arrays
+    n = 300_000
+    stream = make_stream(8)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        graph.sampled_triangle_count(law, n, 1.0, stream)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * n
+
+
 def test_edge_list_example():
     g = graph.GraphSample.from_weights([0.2, 0.6, 0.9], 1.0)
     assert edge_list(g) == [(1, 3), (2, 3)]
@@ -186,6 +236,38 @@ def test_oracle_parity_random_instances():
         assert graph.all_degrees(g).tolist() == _oracle_degrees(w, theta).tolist()
         assert graph.count_triangles(g) == _oracle_triangles(w, theta)
         assert graph.count_local_triangles(g, i + 1) == _oracle_local_triangles(w, theta, i)
+
+
+def _local_triangles_by_mask(g, vertex):
+    # the neighbours as the float mask sw + xi > theta, counted off their sorted weights
+    xi = float(g.weights[vertex - 1])
+    sw = g.sorted_weights
+    nb = sw[sw + xi > g.theta]
+    if 2.0 * xi > g.theta:
+        nb = np.delete(nb, np.searchsorted(nb, xi))
+    pairs = np.arange(nb.size) - graph._first_adjacent(nb, g.theta)
+    return int(pairs[pairs > 0].sum())
+
+
+def test_local_triangles_neighbour_suffix_matches_the_mask():
+    rng = np.random.default_rng(29)
+    # decimals whose pair sums round to either side of theta = 1
+    decimals = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95]
+    instances = [([0.9, 0.1, 0.95], 1.0)]
+    for _ in range(150):
+        n = int(rng.integers(1, 60))
+        if rng.random() < 0.5:
+            instances.append((rng.choice(decimals, n), 1.0))
+        else:
+            instances.append((rng.exponential(1.0, n), float(rng.uniform(0.2, 2.0))))
+    for w, theta in instances:
+        g = graph.GraphSample.from_weights(w, theta)
+        sw = g.sorted_weights
+        for vertex in range(1, g.n + 1):
+            xi = g.weights[vertex - 1]
+            first = graph._first_adjacent(sw, theta, np.array([xi]))[0]
+            assert (np.arange(g.n) >= first).tolist() == (sw + xi > theta).tolist()
+            assert graph.count_local_triangles(g, vertex) == _local_triangles_by_mask(g, vertex)
 
 
 def test_handshake_identity():

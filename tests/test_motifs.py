@@ -213,6 +213,15 @@ def test_probability_mc():
     assert est == 1.0
 
 
+def test_motif_mc_estimate_does_not_depend_on_the_block(monkeypatch):
+    estimates = []
+    for block in (7, 1000):
+        monkeypatch.setattr(motifs, "_MC_BLOCK", block)
+        estimates.append(motifs.motif_probability_mc(
+            dist.exponential(1.0), C4, 1.0, 2503, make_stream(6)))
+    assert estimates[0] == estimates[1]
+
+
 def test_kernel_variance_degenerate_cases():
     z, se = motifs.motif_kernel_variance_mc(dist.point_mass(0.7), TRI, 1.0, 2000, make_stream(1))
     assert z == 0.0 and se == 0.0
