@@ -254,7 +254,8 @@ def _cmd_triangles(cfg: dict) -> None:
     dist = _parse(parse_dist, cfg["dist"])
     n = graph.check_vertex_count(cfg["n"], 3, "the triangle density")
     theta = cfg["theta"]
-    t_count = graph.sampled_triangle_count(dist, n, theta, stats.make_stream(cfg["seed"]))
+    t_count = graph.count_triangles(
+        graph.sample_graph(dist, n, theta, stats.make_stream(cfg["seed"])))
     payload = {
         "experiment": "triangles",
         "config": {"dist": cfg["dist"], "theta": theta, "n": n},

@@ -159,7 +159,12 @@ class WeightDistribution:
             if np.ndim(x) == 0:
                 # a scalar keeps Python's power: numpy's array power rounds
                 # differently, and Python's raises on overflow
-                x = float(x)
+                try:
+                    return float(x) ** (1.0 / alpha)
+                except OverflowError:
+                    raise NumericError(
+                        f"pareto:{c!r},{alpha!r} quantile at u = {float(u)!r} "
+                        "overflows a float") from None
             x **= 1.0 / alpha
             return x
         vals, cum, _ = self._atom_tables()

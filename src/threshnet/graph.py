@@ -2,11 +2,10 @@
 
 Vertices ``i != j`` are adjacent iff ``weights[i] + weights[j] > theta``
 (strict; a sum exactly at the threshold is no edge).  No adjacency matrix is
-ever materialized: every statistic runs off the ascending copy of the
-weights (a plain sort; no permutation is kept).  A sampled graph holds the
-sampler's draw itself, never a copy of it; the triangle count of a fresh
-draw (:func:`sampled_triangle_count`) sorts the draw in place and keeps no
-draw-order labels, so one n-long array is all it holds.
+ever materialized.  A graph is one ascending, read-only weight array: every
+counter reads only the sorted weights, so no draw-order labels are kept, and
+a sampled graph is the sampler's draw itself, sorted in place.  A tagged
+vertex is passed by its weight, counted against the graph of the others.
 
 Counting identities used below, with weights sorted ascending
 ``w[0] <= ... <= w[n-1]`` and ``first(x)`` the first position p with
@@ -19,14 +18,15 @@ Counting identities used below, with weights sorted ascending
   above theta, so ``T = sum over b of max(0, b - first(w[b])) * (n - 1 - b)``
   (the light partners a of b, times the third vertex after ``b``), summed
   over blocks of positions so that no temporary is n long;
-* local triangles of a vertex: the same pair count ``sum over b of
-  max(0, b - first(w[b]))`` taken over the sorted weights of its neighbours.
+* local triangles of a tagged vertex of weight x: its neighbours are the
+  suffix ``w[first(x):]``, and its triangles are the pair count
+  ``sum over b of max(0, b - first(w[b]))`` taken over that suffix.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,56 +40,45 @@ _TRIANGLE_BLOCK = 2**14
 
 @dataclass(frozen=True)
 class GraphSample:
-    """n weights plus the threshold; edges are implicit via the sum rule."""
+    """The threshold and the n weights, ascending and read-only; edges are
+    implicit via the sum rule."""
 
-    n: int
     theta: float
     weights: np.ndarray
-    sorted_weights: np.ndarray = field(repr=False)  # weights in ascending order
+
+    @property
+    def n(self) -> int:
+        return self.weights.size
 
     @classmethod
     def from_weights(cls, weights, theta: float) -> "GraphSample":
         """A graph on a copy of ``weights``; the caller's array is untouched."""
-        return cls._of_draw(np.array(weights, dtype=float), theta)
+        return cls._in_place(np.array(weights, dtype=float), theta)
 
     @classmethod
-    def _of_draw(cls, w: np.ndarray, theta: float) -> "GraphSample":
-        # Takes the float array w itself as the weights, read-only from now on.
+    def _in_place(cls, w: np.ndarray, theta: float) -> "GraphSample":
+        # Sorts the float array w in place and keeps it, read-only from now on.
         if w.ndim != 1 or w.size < 1:
             raise DomainError("weights must be a nonempty 1-D sequence")
-        sw = np.sort(w)
-        for arr in (w, sw):
-            arr.flags.writeable = False
-        return cls(n=int(w.size), theta=float(theta), weights=w, sorted_weights=sw)
+        w.sort()
+        w.flags.writeable = False
+        return cls(theta=float(theta), weights=w)
 
 
 def sample_graph(
     dist: WeightDistribution, n: int, theta: float, stream: np.random.Generator
 ) -> GraphSample:
     """Draw n i.i.d. weights; deterministic given the stream state.  The
-    graph holds the draw itself, in draw order, plus its sorted copy."""
+    graph is the draw itself, sorted in place."""
     if n < 1:
         raise DomainError("graph needs at least one vertex")
-    return GraphSample._of_draw(dist.sample(stream, n), theta)
-
-
-def sampled_triangle_count(
-    dist: WeightDistribution, n: int, theta: float, stream: np.random.Generator
-) -> int:
-    """Triangles of a fresh graph on n weights, the same count as
-    ``count_triangles(sample_graph(...))`` from the same stream state.  The
-    draw is sorted in place and counted as is, vertices labelled in weight
-    order, so it is the one n-long array held."""
-    w = dist.sample(stream, n)
-    w.sort()
-    w.flags.writeable = False
-    return count_triangles(GraphSample(n=n, theta=float(theta), weights=w, sorted_weights=w))
+    return GraphSample._in_place(dist.sample(stream, n), theta)
 
 
 def all_degrees(g: GraphSample) -> np.ndarray:
-    """Degree of every vertex, O(n log n) total."""
+    """Degree of every vertex, in the order of ``g.weights``, O(n log n)."""
     w = g.weights
-    return g.n - _first_adjacent(g.sorted_weights, g.theta, w) - (w + w > g.theta)
+    return g.n - _first_adjacent(w, g.theta) - (w + w > g.theta)
 
 
 def edge_count(g: GraphSample) -> int:
@@ -133,7 +122,7 @@ def count_triangles(g: GraphSample) -> int:
     triple.  Positions are taken in blocks of ``_TRIANGLE_BLOCK``, so every
     temporary is block-sized.
     """
-    n, sw = g.n, g.sorted_weights
+    n, sw = g.n, g.weights
     # each term is below n**2, so a chunk of 2**63 // n**2 terms cannot wrap
     step = max(1, 2**63 // (n * n))
     total = 0
@@ -148,20 +137,16 @@ def count_triangles(g: GraphSample) -> int:
     return total
 
 
-def count_local_triangles(g: GraphSample, vertex: int) -> int:
-    """Triangles through one vertex (1-based): the adjacent pairs among its
-    neighbours, counted off their sorted weights like ``count_triangles``."""
-    if not 1 <= vertex <= g.n:
-        raise DomainError(f"vertex must be in 1..{g.n}")
-    xi = float(g.weights[vertex - 1])
-    sw = g.sorted_weights
-    # sw + xi is ascending, so the neighbours are a suffix of sw
-    nb = sw[int(_first_adjacent(sw, g.theta, np.array([xi]))[0]):]
-    if 2.0 * xi > g.theta:
-        # the vertex itself is among its neighbours; drop one copy
-        nb = np.delete(nb, np.searchsorted(nb, xi))
-    first = _first_adjacent(nb, g.theta)
-    pairs = np.arange(nb.size) - first  # lighter partners of each neighbour
+def count_local_triangles(g: GraphSample, x: float) -> int:
+    """Triangles through a tagged vertex of weight ``x`` joined to ``g``: the
+    adjacent pairs among its neighbours, counted off their sorted weights
+    like ``count_triangles``."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise DomainError(f"tagged weight must be finite, got {x}")
+    w = g.weights
+    nb = w[int(_first_adjacent(w, g.theta, np.array([x]))[0]):]
+    pairs = np.arange(nb.size) - _first_adjacent(nb, g.theta)  # lighter partners
     return int(pairs[pairs > 0].sum())
 
 
@@ -228,16 +213,20 @@ def _triangle_experiment(params: dict, streams) -> list:
     dist = parse_dist(params["dist"])
     n = check_vertex_count(params["n"], 3, "the triangle density")
     theta = float(params["theta"])
-    return [sampled_triangle_count(dist, n, theta, stream) / math.comb(n, 3)
+    return [count_triangles(sample_graph(dist, n, theta, stream)) / math.comb(n, 3)
             for stream in streams]
 
 
 @register_experiment("local")
 def _local_triangle_experiment(params: dict, streams) -> list:
     """Triangles at vertex 1 among n+1 vertices, normalized by C(n,2), per
-    stream."""
+    stream: the first of n + 1 draws is tagged, the other n are the pool."""
     dist = parse_dist(params["dist"])
     n = check_vertex_count(params["n"], 2, "the local triangle density")
     theta = float(params["theta"])
-    return [count_local_triangles(sample_graph(dist, n + 1, theta, stream), 1)
-            / math.comb(n, 2) for stream in streams]
+
+    def density(stream):  # a local, so no draw outlives its replicate
+        w = dist.sample(stream, n + 1)
+        return count_local_triangles(GraphSample._in_place(w[1:], theta), w[0]) / math.comb(n, 2)
+
+    return [density(stream) for stream in streams]

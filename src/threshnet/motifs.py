@@ -111,7 +111,7 @@ def _creation_sequence(g: GraphSample) -> list[bool]:
     heaviest is adjacent to every remaining vertex, otherwise the lightest is
     adjacent to none of them.
     """
-    w = g.sorted_weights.tolist()
+    w = g.weights.tolist()
     lo, hi = 0, g.n - 1
     peeled = []
     while lo < hi:

@@ -247,6 +247,22 @@ def test_capacity_error_exit_code(tmp_path):
     assert not out.exists()
 
 
+# The direct sampler's array draw of the same law overflows to inf with
+# numpy's RuntimeWarning before a scalar draw raises; arrays keep that.
+@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+@pytest.mark.parametrize("mode", ["direct", "mixture"])
+def test_scalar_pareto_overflow_exit_code(tmp_path, capsys, mode):
+    out = tmp_path / "s.json"
+    code = run(["spatial", "--mode", mode, "--dist", "pareto:1,0.005", "--d", "2",
+                "--beta", "2", "--lambda", "1", "--theta", "1", "--r", "3", "--R", "50",
+                "--seed", "1", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("threshnet: error: ") and "pareto:1.0,0.005" in err
+    assert "overflows" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("args, message", [
     (["--d", "2", "--beta", "0", "--theta", "1", "--dist", "uniform:0,1"], "beta <= 0"),
     (["--d", "2", "--beta", "-1", "--theta", "1", "--dist", "uniform:0,1"], "beta <= 0"),

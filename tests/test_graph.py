@@ -94,8 +94,9 @@ def test_generate_determinism():
 
 def test_sorted_view_invariants():
     g = graph.sample_graph(dist.uniform(0, 1), 100, 1.0, make_stream(1))
-    assert np.array_equal(g.sorted_weights, np.sort(g.weights))
-    assert not g.weights.flags.writeable and not g.sorted_weights.flags.writeable
+    draw = dist.uniform(0, 1).sample(make_stream(1), 100)
+    assert g.n == 100 and np.array_equal(g.weights, np.sort(draw))
+    assert not g.weights.flags.writeable
 
 
 def test_from_weights_copies_once_and_leaves_the_caller_array():
@@ -103,8 +104,8 @@ def test_from_weights_copies_once_and_leaves_the_caller_array():
     g = graph.GraphSample.from_weights(w, 1.0)
     assert w.flags.writeable and w.tolist() == [0.9, 0.2, 0.6]
     w[0] = 0.0
-    assert g.weights.tolist() == [0.9, 0.2, 0.6]
-    assert graph.GraphSample.from_weights([0.9, 0.2, 0.6], 1.0).weights.tolist() == [0.9, 0.2, 0.6]
+    assert g.weights.tolist() == [0.2, 0.6, 0.9]
+    assert graph.GraphSample.from_weights([0.9, 0.2, 0.6], 1.0).weights.tolist() == [0.2, 0.6, 0.9]
 
 
 def test_sample_graph_holds_the_draw_itself(monkeypatch):
@@ -126,9 +127,14 @@ def test_sample_graph_holds_the_draw_itself(monkeypatch):
     dist.point_mass(0.6),
 ], ids=lambda law: law.kind)
 def test_sampled_triangle_count_matches_the_sampled_graph(law):
+    # the draw sorted in place counts as a copy of it in draw order, and as
+    # the dense oracle where that fits
     for n in (3, 50, 2**14 + 7):
-        g = graph.sample_graph(law, n, 1.0, make_stream(n))
-        assert graph.sampled_triangle_count(law, n, 1.0, make_stream(n)) == graph.count_triangles(g)
+        draw = law.sample(make_stream(n), n)
+        count = graph.count_triangles(graph.sample_graph(law, n, 1.0, make_stream(n)))
+        assert count == graph.count_triangles(graph.GraphSample.from_weights(draw, 1.0))
+        if n <= 50:
+            assert count == _oracle_triangles(draw, 1.0)
 
 
 @pytest.mark.parametrize("law", [dist.exponential(1.0), dist.two_point(0.2, 0.5, 0.9)],
@@ -140,7 +146,7 @@ def test_sampled_triangle_count_holds_one_draw(law):
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        graph.sampled_triangle_count(law, n, 1.0, stream)
+        graph.count_triangles(graph.sample_graph(law, n, 1.0, stream))
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -193,22 +199,40 @@ def test_triangle_count_exact_beyond_int64():
     assert graph.count_triangles(g) == math.comb(n, 3)
 
 
+def _tagged(w, theta, i):
+    """The graph of every vertex but i, and the weight of vertex i."""
+    return graph.GraphSample.from_weights(np.delete(w, i), theta), float(w[i])
+
+
 def test_local_triangle_examples():
-    g = graph.GraphSample.from_weights([0.9, 0.6, 0.9, 0.2], 1.0)
-    assert graph.count_local_triangles(g, 1) == 2
-    iso = graph.GraphSample.from_weights([0.1, 0.6, 0.9], 1.0)
-    assert graph.count_local_triangles(iso, 1) == 0
+    assert graph.count_local_triangles(*_tagged([0.9, 0.6, 0.9, 0.2], 1.0, 0)) == 2
+    assert graph.count_local_triangles(*_tagged([0.1, 0.6, 0.9], 1.0, 0)) == 0
     # 1 - 0.9 rounds below 0.1, yet 0.9 + 0.1 == 1 is no edge
-    rounding = graph.GraphSample.from_weights([0.9, 0.1, 0.95], 1.0)
-    assert [graph.count_local_triangles(rounding, i) for i in (1, 2, 3)] == [0, 0, 0]
-    with pytest.raises(DomainError):
-        graph.count_local_triangles(g, 5)
+    rounding = [0.9, 0.1, 0.95]
+    assert [graph.count_local_triangles(*_tagged(rounding, 1.0, i))
+            for i in range(3)] == [0, 0, 0]
+    g = graph.GraphSample.from_weights([0.9, 0.6, 0.9, 0.2], 1.0)
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            graph.count_local_triangles(g, x)
 
 
 def test_local_global_identity():
-    g = graph.GraphSample.from_weights([0.2, 0.6, 0.9, 0.95], 1.0)
-    total = sum(graph.count_local_triangles(g, i) for i in range(1, 5))
-    assert total == 3 * graph.count_triangles(g) == 6
+    w = [0.2, 0.6, 0.9, 0.95]
+    total = sum(graph.count_local_triangles(*_tagged(w, 1.0, i)) for i in range(4))
+    assert total == 3 * graph.count_triangles(graph.GraphSample.from_weights(w, 1.0)) == 6
+
+
+@pytest.mark.parametrize("spec", ["uniform:0,1", "exp:1", "twopoint:0.2,0.5,0.9"])
+def test_local_experiment_tags_the_first_draw(spec):
+    # vertex 1 of the n + 1 draws, counted on the dense adjacency
+    n, theta = 40, 1.0
+    got = graph._local_triangle_experiment(
+        {"dist": spec, "n": n, "theta": theta}, [make_stream(s) for s in range(6)])
+    law = dist.parse_dist(spec)
+    want = [_oracle_local_triangles(law.sample(make_stream(s), n + 1), theta, 0)
+            / math.comb(n, 2) for s in range(6)]
+    assert got == want
 
 
 def _oracle_parity_instances():
@@ -233,18 +257,16 @@ def _oracle_parity_instances():
 def test_oracle_parity_random_instances():
     for w, theta, i in _oracle_parity_instances():
         g = graph.GraphSample.from_weights(w, theta)
-        assert graph.all_degrees(g).tolist() == _oracle_degrees(w, theta).tolist()
+        assert g.weights.tolist() == sorted(w)
+        assert graph.all_degrees(g).tolist() == _oracle_degrees(g.weights, theta).tolist()
         assert graph.count_triangles(g) == _oracle_triangles(w, theta)
-        assert graph.count_local_triangles(g, i + 1) == _oracle_local_triangles(w, theta, i)
+        assert graph.count_local_triangles(*_tagged(w, theta, i)) == \
+            _oracle_local_triangles(w, theta, i)
 
 
-def _local_triangles_by_mask(g, vertex):
-    # the neighbours as the float mask sw + xi > theta, counted off their sorted weights
-    xi = float(g.weights[vertex - 1])
-    sw = g.sorted_weights
-    nb = sw[sw + xi > g.theta]
-    if 2.0 * xi > g.theta:
-        nb = np.delete(nb, np.searchsorted(nb, xi))
+def _local_triangles_by_mask(g, x):
+    # the neighbours as the float mask w + x > theta, counted off their sorted weights
+    nb = g.weights[g.weights + x > g.theta]
     pairs = np.arange(nb.size) - graph._first_adjacent(nb, g.theta)
     return int(pairs[pairs > 0].sum())
 
@@ -262,12 +284,10 @@ def test_local_triangles_neighbour_suffix_matches_the_mask():
             instances.append((rng.exponential(1.0, n), float(rng.uniform(0.2, 2.0))))
     for w, theta in instances:
         g = graph.GraphSample.from_weights(w, theta)
-        sw = g.sorted_weights
-        for vertex in range(1, g.n + 1):
-            xi = g.weights[vertex - 1]
-            first = graph._first_adjacent(sw, theta, np.array([xi]))[0]
-            assert (np.arange(g.n) >= first).tolist() == (sw + xi > theta).tolist()
-            assert graph.count_local_triangles(g, vertex) == _local_triangles_by_mask(g, vertex)
+        for x in g.weights:  # a tagged vertex of each weight, joined to all n
+            first = graph._first_adjacent(g.weights, theta, np.array([x]))[0]
+            assert (np.arange(g.n) >= first).tolist() == (g.weights + x > theta).tolist()
+            assert graph.count_local_triangles(g, x) == _local_triangles_by_mask(g, x)
 
 
 def test_handshake_identity():
