@@ -116,7 +116,7 @@ def _merge_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config file {args.config}: {exc}")
         if not isinstance(file_cfg, dict):
-            raise UsageError("config file must hold a flat JSON object")
+            raise UsageError(f"config file {args.config} must hold a flat JSON object")
         flags = parser.config_flags[args.command]
         tokens = [f"{flags[k]}={v if isinstance(v, str) else json.dumps(v)}"
                   for k, v in file_cfg.items() if k in flags and v is not None]
@@ -306,15 +306,10 @@ def _quantile_grid(dist, grid: int) -> np.ndarray:
 
 
 def local_limit_cdf(lcfg: limits.LimitConfig, grid: int):
-    """CDF of the limiting local triangle density: the conditional triangle
-    probability of a random weight, tabulated on a fine quantile grid."""
-    values = np.sort(limits.conditional_triangle_probability(
+    """CDF of the limiting local triangle density: the ECDF of the conditional
+    triangle probability of a random weight, tabulated on a quantile grid."""
+    return stats.ecdf(limits.conditional_triangle_probability(
         lcfg, _quantile_grid(lcfg.dist, grid)))
-
-    def cdf(t: float) -> float:
-        return float(np.searchsorted(values, t, side="right")) / values.size
-
-    return cdf
 
 
 def _cmd_limits(cfg: dict) -> None:

@@ -165,7 +165,8 @@ class WeightDistribution:
                     raise NumericError(
                         f"pareto:{c!r},{alpha!r} quantile at u = {float(u)!r} "
                         "overflows a float") from None
-            x **= 1.0 / alpha
+            with np.errstate(over="ignore"):  # a quantile beyond the floats is inf
+                x **= 1.0 / alpha
             return x
         vals, cum, _ = self._atom_tables()
         return np.take(vals, np.searchsorted(cum[1:], u, side="left"), out=out)

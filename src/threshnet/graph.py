@@ -159,8 +159,7 @@ def tagged_pair_degrees(
     counted only against the pool of the first n, never against each other,
     and the returned flag says whether they are themselves adjacent.
     """
-    if n < 1:
-        raise DomainError("pool size must be >= 1")
+    n = check_vertex_count(n, 1, "the tagged-pair degrees")
     w = dist.sample(stream, n + 2)
     pool = w[:n]
     d1 = int(np.count_nonzero(pool + w[n] > theta))
@@ -198,7 +197,7 @@ def _degree_experiment(params: dict, streams) -> list:
 @register_experiment("pair", columns=("d1_over_n", "d2_over_n", "edge"))
 def _pair_experiment(params: dict, streams) -> list:
     dist = parse_dist(params["dist"])
-    n = int(params["n"])
+    n = check_vertex_count(params["n"], 1, "the tagged-pair degree fraction")
     theta = float(params["theta"])
     rows = []
     for stream in streams:

@@ -135,10 +135,7 @@ def run_replicates(
     if samples.ndim == 1:
         mean, var, se = _column_moments(samples)
     else:
-        stats = [_column_moments(samples[:, j]) for j in range(samples.shape[1])]
-        mean = [s[0] for s in stats]
-        var = [s[1] for s in stats]
-        se = [s[2] for s in stats]
+        mean, var, se = map(list, zip(*map(_column_moments, samples.T)))
     return ReplicateReport(
         experiment=experiment,
         config=dict(params),
@@ -157,32 +154,39 @@ def run_replicates(
 
 
 def ks_statistic(samples, cdf) -> float:
-    """Sup distance between the sample ECDF and a reference CDF.
-
-    Both one-sided gaps are evaluated at each sorted sample point, so the
-    supremum over the full line is attained exactly.
-    """
+    """Sup distance between the sample ECDF and a right-continuous reference
+    CDF, exact for continuous and stepped references alike: at each sorted
+    sample the upper gap reads the reference there, the lower gap its left
+    limit (its value at the next float below), so a sample on a jump of the
+    reference is not counted against it."""
     xs = np.sort(np.asarray(samples, dtype=float))
     n = xs.size
     if n == 0:
         raise DomainError("ks_statistic requires a nonempty sample")
     fvals = np.asarray([cdf(float(x)) for x in xs], dtype=float)
+    flefts = np.asarray([cdf(float(x)) for x in np.nextafter(xs, -np.inf)], dtype=float)
     i = np.arange(1, n + 1, dtype=float)
     d_plus = np.max(i / n - fvals)
-    d_minus = np.max(fvals - (i - 1.0) / n)
+    d_minus = np.max(flefts - (i - 1.0) / n)
     return float(max(d_plus, d_minus, 0.0))
 
 
+def ecdf(sample):
+    """The right-continuous empirical CDF of a nonempty sample, a callable."""
+    xs = np.sort(np.asarray(sample, dtype=float))
+    if xs.size == 0:
+        raise DomainError("ecdf requires a nonempty sample")
+
+    def cdf(t: float) -> float:
+        return float(np.searchsorted(xs, t, side="right")) / xs.size
+
+    return cdf
+
+
 def ks_two_sample(a, b) -> float:
-    """Sup distance between two sample ECDFs (exact for tied/discrete data)."""
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
-    if a.size == 0 or b.size == 0:
-        raise DomainError("ks_two_sample requires nonempty samples")
-    grid = np.union1d(a, b)
-    fa = np.searchsorted(a, grid, side="right") / a.size
-    fb = np.searchsorted(b, grid, side="right") / b.size
-    return float(np.max(np.abs(fa - fb)))
+    """Sup distance between two sample ECDFs: :func:`ks_statistic` of ``a``
+    against the ECDF of ``b``, exact for tied and discrete data."""
+    return ks_statistic(a, ecdf(b))
 
 
 def kolmogorov_sf(t: float) -> float:

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threshnet import dist, graph, spatial, stats
 from threshnet.errors import DomainError, UsageError
@@ -173,17 +175,33 @@ def test_ks_empty_errors():
 
 
 def test_ks_against_own_ecdf():
-    # the true sup distance to the sample's own ECDF is zero; the instrument
-    # evaluates at sample points with both one-sided gaps, so it reports at
-    # most one ECDF step
+    # the true sup distance to the sample's own ECDF is zero; the lower gap
+    # reads the reference's left limit, so no step counts against itself
     rng = np.random.default_rng(0)
     x = rng.random(500)
-    sorted_x = np.sort(x)
+    assert stats.ks_statistic(x, stats.ecdf(x)) == 0.0
+    ties = rng.integers(0, 5, 500)
+    assert stats.ks_statistic(ties, stats.ecdf(ties)) == 0.0
 
-    def ecdf(t):
-        return float(np.searchsorted(sorted_x, t, side="right")) / x.size
 
-    assert stats.ks_statistic(x, ecdf) <= 1.0 / x.size + 1e-12
+def test_ks_sample_on_a_jump_of_the_reference():
+    # a point mass at 0.5 and a sample on it: the sup distance is zero
+    def point(t):
+        return float(t >= 0.5)
+
+    assert stats.ks_statistic([0.5] * 20, point) == 0.0
+    # half the mass at 0.5, half at 1: a sample at 1 alone misses half
+    assert stats.ks_statistic([1.0] * 20, lambda t: 0.5 * (t >= 0.5) + 0.5 * (t >= 1.0)) == 0.5
+
+
+def test_ecdf_is_right_continuous():
+    f = stats.ecdf([0.3, 0.1, 0.3, 0.7])
+    assert [f(t) for t in (0.0, 0.1, 0.2, 0.3, 0.5, 0.7, 9.0)] == [
+        0.0, 0.25, 0.25, 0.75, 0.75, 1.0, 1.0]
+    with pytest.raises(DomainError):
+        stats.ecdf([])
+    with pytest.raises(DomainError):
+        stats.ks_two_sample([], [1.0])
 
 
 def test_ks_null_critical_rate():
@@ -214,6 +232,26 @@ def test_ks_two_sample_matches_scipy():
     ours = stats.ks_two_sample(a, b)
     ref = scipy.stats.ks_2samp(a, b).statistic
     assert ours == pytest.approx(ref, abs=1e-12)
+
+
+def _union_grid_ks(a, b):
+    # the two-sample sup over the union of both samples, both ECDFs read there
+    a, b = np.sort(np.asarray(a, dtype=float)), np.sort(np.asarray(b, dtype=float))
+    grid = np.union1d(a, b)
+    fa = np.searchsorted(a, grid, side="right") / a.size
+    fb = np.searchsorted(b, grid, side="right") / b.size
+    return float(np.max(np.abs(fa - fb)))
+
+
+_SAMPLE = st.one_of(
+    st.lists(st.integers(-3, 3), min_size=1, max_size=40),  # heavy ties
+    st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_SAMPLE, _SAMPLE)
+def test_ks_two_sample_equals_the_union_grid(a, b):
+    assert stats.ks_two_sample(a, b) == _union_grid_ks(a, b)
 
 
 def test_kolmogorov_sf():
