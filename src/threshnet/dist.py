@@ -1,7 +1,7 @@
 """Weight laws: CDF/quantile/sampling, expectations against the law, and the
 split-support check.
 
-A :class:`WeightDistribution` is an immutable value describing one of six
+A :class:`WeightDistribution` is an immutable value describing one of four
 parametric kinds:
 
 ====================  =============================  =========================
@@ -10,12 +10,12 @@ kind                  params                         support
 ``uniform``           ``(a, b)``                     ``[a, b]``
 ``exponential``       ``(rate,)``                    ``[0, inf)``
 ``pareto``            ``(scale_c, alpha)``           ``[scale_c**(1/alpha), inf)``
-``two_point``         ``(x1, p1, x2)``               ``{x1, x2}``
 ``discrete``          ``((x1, p1), (x2, p2), ...)``  atom set
-``point``             ``(c,)``                       ``{c}``
 ====================  =============================  =========================
 
 The pareto kind has CDF ``1 - scale_c * x**(-alpha)`` on its support.
+:func:`two_point` and :func:`point_mass` build ``discrete`` laws of two atoms
+and of one.
 
 Sampling is the inverse transform of ``stream.random``.  An array draw is
 transformed in place by the same formulas as the quantile, so the returned
@@ -53,8 +53,6 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 
-_DISCRETE_KINDS = ("two_point", "discrete", "point")
-
 # Probability tolerance for validating discrete weights.
 _PROB_TOL = 1e-12
 
@@ -73,15 +71,10 @@ class WeightDistribution:
 
     @property
     def is_discrete(self) -> bool:
-        return self.kind in _DISCRETE_KINDS
+        return self.kind == "discrete"
 
     def atoms(self) -> tuple[tuple[float, float], ...]:
-        """(value, probability) pairs, ascending by value; discrete kinds only."""
-        if self.kind == "point":
-            return ((self.params[0], 1.0),)
-        if self.kind == "two_point":
-            x1, p1, x2 = self.params
-            return ((x1, p1), (x2, 1.0 - p1))
+        """(value, probability) pairs, ascending by value; discrete laws only."""
         if self.kind == "discrete":
             return self.params
         raise DomainError(f"{self.kind} law has no atoms")
@@ -95,8 +88,7 @@ class WeightDistribution:
         if self.kind == "pareto":
             c, alpha = self.params
             return c ** (1.0 / alpha), math.inf
-        xs = [x for x, _ in self.atoms()]
-        return xs[0], xs[-1]
+        return self.atoms()[0][0], self.atoms()[-1][0]
 
     # -- CDF / quantile ----------------------------------------------------
 
@@ -188,8 +180,7 @@ class WeightDistribution:
 
     def _atom_tables(self):
         # values; P(X <= x) and P(X > x) at index searchsorted(vals, x, "right")
-        vals = np.array([x for x, _ in self.atoms()], dtype=float)
-        probs = np.array([p for _, p in self.atoms()])
+        vals, probs = (np.array(column) for column in zip(*self.atoms()))
         cum = np.concatenate([[0.0], np.cumsum(probs)])
         tail = np.concatenate([np.cumsum(probs[::-1])[::-1], [0.0]])
         cum[-1] = tail[0] = 1.0  # snap away the summation residual
@@ -249,7 +240,7 @@ def two_point(x1: float, p1: float, x2: float) -> WeightDistribution:
         raise DomainError("two_point requires finite x1 < x2")
     if not 0.0 < p1 < 1.0:
         raise DomainError("two_point requires 0 < p1 < 1")
-    return WeightDistribution("two_point", (float(x1), float(p1), float(x2)))
+    return finite_discrete([(x1, p1), (x2, 1.0 - p1)])
 
 
 def finite_discrete(atoms) -> WeightDistribution:
@@ -269,7 +260,12 @@ def finite_discrete(atoms) -> WeightDistribution:
 def point_mass(c: float) -> WeightDistribution:
     if not math.isfinite(c):
         raise DomainError("point mass requires a finite value")
-    return WeightDistribution("point", (float(c),))
+    return finite_discrete([(c, 1.0)])
+
+
+# The spec names whose argument is a comma-separated list of numbers.
+_SPEC_CONSTRUCTORS = {"uniform": uniform, "exp": exponential, "pareto": pareto,
+                      "twopoint": two_point, "point": point_mass}
 
 
 def parse_dist(spec: str) -> WeightDistribution:
@@ -281,25 +277,11 @@ def parse_dist(spec: str) -> WeightDistribution:
     try:
         name, _, arg = spec.partition(":")
         name = name.strip().lower()
-        if name == "uniform":
-            a, b = (float(t) for t in arg.split(","))
-            return uniform(a, b)
-        if name == "exp":
-            return exponential(float(arg))
-        if name == "pareto":
-            c, alpha = (float(t) for t in arg.split(","))
-            return pareto(c, alpha)
-        if name == "twopoint":
-            x1, p1, x2 = (float(t) for t in arg.split(","))
-            return two_point(x1, p1, x2)
         if name == "discrete":
-            pairs = []
-            for item in arg.split(","):
-                x, p = item.split(":")
-                pairs.append((float(x), float(p)))
-            return finite_discrete(pairs)
-        if name == "point":
-            return point_mass(float(arg))
+            return finite_discrete([(float(x), float(p)) for x, p in
+                                    (item.split(":") for item in arg.split(","))])
+        if name in _SPEC_CONSTRUCTORS:
+            return _SPEC_CONSTRUCTORS[name](*(float(t) for t in arg.split(",")))
     except DomainError:
         raise
     except Exception as exc:

@@ -57,6 +57,12 @@ class SpatialConfig:
             raise DomainError("intensity lam must be > 0")
         if not self.r > 0.0:
             raise DomainError("radius r must be > 0")
+        try:  # a float power beyond the floats raises OverflowError
+            finite = all(map(math.isfinite, (self.r**self.d, self.theta * self.r**self.beta)))
+        except OverflowError:
+            finite = False
+        if math.isfinite(self.r) and not finite:
+            raise DomainError(f"radius r = {self.r!r}: r**d or theta * r**beta is not finite")
 
 
 def sphere_surface(d: int) -> float:
@@ -202,13 +208,20 @@ def sample_origin_degree_mixture(
     """
     if x0 is not None:
         mu = origin_degree_rate(cfg, dist, float(x0))
-        return np.array([stream.poisson(mu) for stream in streams], dtype=float)
+        return np.array([_poisson(stream, mu) for stream in streams], dtype=float)
     streams, degrees = iter(streams), []
     while block := list(islice(streams, _STREAMS_PER_BATCH)):
         weights = np.array([dist.sample(stream) for stream in block])
         mus = origin_degree_rate(cfg, dist, weights).tolist()
-        degrees += [stream.poisson(mu) for stream, mu in zip(block, mus)]
+        degrees += [_poisson(stream, mu) for stream, mu in zip(block, mus)]
     return np.array(degrees, dtype=float)
+
+
+def _poisson(stream: np.random.Generator, mu: float) -> int:
+    try:
+        return stream.poisson(mu)
+    except ValueError:  # numpy refuses a rate above about 9.2e18
+        raise CapacityError(f"the Poisson rate {mu:.6g} is beyond numpy's sampler") from None
 
 
 def origin_degree_rate(cfg: SpatialConfig, dist: WeightDistribution, x):

@@ -34,7 +34,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, NumericError, UsageError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
@@ -132,10 +132,14 @@ def run_replicates(
     fn, columns = _EXPERIMENTS[experiment]
     streams = (make_stream(master_seed, i) for i in range(replicates))
     samples = np.asarray(fn(params, streams), dtype=float)
-    if samples.ndim == 1:
-        mean, var, se = _column_moments(samples)
-    else:
-        mean, var, se = map(list, zip(*map(_column_moments, samples.T)))
+    with np.errstate(over="ignore"):  # a moment beyond the floats is refused below
+        if samples.ndim == 1:
+            mean, var, se = _column_moments(samples)
+        else:
+            mean, var, se = map(list, zip(*map(_column_moments, samples.T)))
+    for name, value in (("mean", mean), ("variance", var), ("stderr", se)):
+        if not np.isfinite(value).all():
+            raise NumericError(f"the sample {name} is not finite: {value}")
     return ReplicateReport(
         experiment=experiment,
         config=dict(params),

@@ -276,6 +276,44 @@ def test_divergent_limit_exit_code(tmp_path, capsys, args, message):
     assert not out.exists()
 
 
+_MIXTURE = ["spatial", "--mode", "mixture", "--d", "2", "--beta", "2", "--theta", "1",
+            "--dist", "uniform:0,1", "--R", "3"]
+_CLT = ["clt-check", "--d", "2", "--beta", "2", "--theta", "1", "--dist", "uniform:0,1",
+        "--R", "3"]
+
+
+@pytest.mark.parametrize("args, named", [
+    (_MIXTURE + ["--lambda", "1", "--r", "1e200"], "radius r = 1e+200"),
+    (_MIXTURE + ["--lambda", "1", "--r", "1e200", "--dist", "exp:1"], "radius r = 1e+200"),
+    (_MIXTURE + ["--lambda", "1e-300", "--r", "1e200", "--mode", "direct"],
+     "radius r = 1e+200"),
+    (_CLT + ["--lambda", "1", "--r", "1e200", "--Cr", "1"], "radius r = 1e+200"),
+    (_MIXTURE + ["--lambda", "1", "--r", "1e-200", "--beta", "-2"], "radius r = 1e-200"),
+    (_MIXTURE + ["--lambda", "1", "--r", "1e120", "--d", "3", "--beta", "0.5",
+                 "--dist", "pareto:1,3"], "radius r = 1e+120"),
+    (_MIXTURE + ["--lambda", "1e300", "--r", "3"], "Poisson rate 2.34016e+300"),
+    (_MIXTURE + ["--lambda", "1e300", "--r", "3", "--x0", "0.5"], "Poisson rate 3.14159e+300"),
+    (_CLT + ["--lambda", "1e300", "--r", "3", "--Cr", "1"], "Poisson rate 2.34016e+300"),
+    (_CLT + ["--lambda", "1", "--r", "3", "--Cr", "1e-320"], "sample variance is not finite"),
+], ids=["r-psi", "r-exponential", "r-ball-volume", "r-clt", "r-negative-beta",
+        "r-pareto", "rate", "rate-x0", "rate-clt", "variance"])
+def test_numbers_beyond_the_floats_exit_code(tmp_path, capsys, args, named):
+    # a radius whose powers leave the floats, a Poisson rate numpy cannot
+    # draw, a sample moment that overflows: each is named, and nothing is written
+    code = run(args + ["--out", str(tmp_path / "s.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("threshnet: error: ") and named in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_radius_with_finite_powers_still_runs(tmp_path):
+    # r**2 = 1e300 is a float, and the mean identity is pi as at any radius
+    out = tmp_path / "s.json"
+    assert run(_MIXTURE + ["--lambda", "1", "--r", "1e150", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["mean_identity"] == pytest.approx(math.pi, rel=1e-12)
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -2,6 +2,7 @@
 and the split-support check against a brute-force grid oracle."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from threshnet import dist, limits, spatial
 from threshnet.errors import DomainError, NumericError
 from threshnet.stats import ks_statistic, make_stream
+from law_ids import law_call_id, law_id
 
 ALL_KINDS = [
     dist.uniform(0.0, 1.0),
@@ -35,7 +37,7 @@ def test_quantile_examples():
     assert dist.two_point(0.2, 0.5, 0.9)._ppf(0.7) == 0.9
 
 
-@pytest.mark.parametrize("d", ALL_KINDS, ids=lambda d: d.kind)
+@pytest.mark.parametrize("d", ALL_KINDS, ids=law_id)
 def test_generalized_inverse(d):
     rng = np.random.default_rng(2024)
     for p in rng.random(1000):
@@ -108,7 +110,7 @@ SAMPLED_LAWS = ALL_KINDS + [dist.pareto(2.0, 2.0), dist.pareto(1.5, 3.0),
 
 @pytest.mark.parametrize("size", [None, 7, 2**16 + 3, (5000, 4), (3, 2**15 + 1)],
                          ids=["scalar", "n", "n-blocks", "rows", "rows-blocks"])
-@pytest.mark.parametrize("law", SAMPLED_LAWS, ids=lambda law: f"{law.kind}{law.params}")
+@pytest.mark.parametrize("law", SAMPLED_LAWS, ids=law_call_id)
 def test_sampling_matches_the_out_of_place_transform_bit_for_bit(law, size):
     if size is None:
         draws, uniforms = make_stream(21), make_stream(21)
@@ -122,7 +124,7 @@ def test_sampling_matches_the_out_of_place_transform_bit_for_bit(law, size):
         assert x.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("law", SAMPLED_LAWS, ids=lambda law: f"{law.kind}{law.params}")
+@pytest.mark.parametrize("law", SAMPLED_LAWS, ids=law_call_id)
 def test_ppf_leaves_its_input_unchanged(law):
     u = np.linspace(0.0, 0.999, 101)
     before = u.copy()
@@ -137,7 +139,7 @@ def test_sampling_determinism():
     assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("d", ALL_KINDS, ids=lambda d: d.kind)
+@pytest.mark.parametrize("d", ALL_KINDS, ids=law_id)
 def test_expectation_normalization(d):
     assert dist.expectation(d, lambda x: 1.0) == pytest.approx(1.0, abs=1e-12)
 
@@ -216,7 +218,7 @@ def test_quad_checked_mass_beyond_the_first_nodes():
         assert value == pytest.approx(eps * -math.expm1(-1.0 / eps), rel=1e-13)
 
 
-@pytest.mark.parametrize("d", ALL_KINDS, ids=lambda d: d.kind)
+@pytest.mark.parametrize("d", ALL_KINDS, ids=law_id)
 def test_sf_is_the_upper_tail(d):
     lo, hi = d.support()
     xs = np.linspace(lo - 1.0, (hi if math.isfinite(hi) else lo + 10.0) + 1.0, 97)
@@ -439,7 +441,7 @@ _INTEGRANDS = {
 
 
 @pytest.mark.parametrize("name", sorted(_INTEGRANDS))
-@pytest.mark.parametrize("law", ALL_KINDS, ids=lambda d: d.kind)
+@pytest.mark.parametrize("law", ALL_KINDS, ids=law_id)
 def test_expectation_equals_depth_first_reference(law, name):
     if name in ("x", "x2") and law.kind == "pareto":
         law = dist.pareto(1.0, 8.0)  # pareto(1, 1) has no finite mean
@@ -448,7 +450,7 @@ def test_expectation_equals_depth_first_reference(law, name):
 
 
 @pytest.mark.parametrize("name", ["x", "x2", "indicator", "triangle-h1"])
-@pytest.mark.parametrize("law", ALL_KINDS, ids=lambda d: d.kind)
+@pytest.mark.parametrize("law", ALL_KINDS, ids=law_id)
 def test_expectation_equals_one_uncertified_row(law, name):
     # the certified passes and one expect_rows row over the whole line agree;
     # the indicator jumps at 0.6, away from every seed edge
@@ -469,7 +471,7 @@ ATOM_LAWS = [
 ]
 
 
-@pytest.mark.parametrize("law", ATOM_LAWS, ids=lambda d: d.kind)
+@pytest.mark.parametrize("law", ATOM_LAWS, ids=law_id)
 def test_expect_rows_atoms_equal_brute_force_sums(law):
     # the range ends fall on atoms, below and above the support and at +-inf
     ends = [-math.inf, 0.0, 0.1, 0.2, 0.5, 0.7, 0.9, 1.1, 2.0, math.inf]
@@ -526,7 +528,7 @@ def test_expect_rows_unresolved_tail_growth_is_not_silent():
 
 
 @pytest.mark.parametrize("law", [dist.exponential(1.0), dist.pareto(1.0, 2.5),
-                                 *ATOM_LAWS], ids=lambda d: d.kind)
+                                 *ATOM_LAWS], ids=law_id)
 def test_expect_rows_batch_equals_scalar_calls(law):
     lo = np.array([-math.inf, 0.0, 0.3, 1.0, 2.0, 0.5])
     hi = np.array([math.inf, 1.0, 4.0, math.inf, 1.0, 0.9])
@@ -590,7 +592,7 @@ def _split_support_oracle(d, theta):
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0, 1.5, 2.0])
-@pytest.mark.parametrize("d", ALL_KINDS, ids=lambda d: d.kind)
+@pytest.mark.parametrize("d", ALL_KINDS, ids=law_id)
 def test_split_support_matches_grid_oracle(d, theta):
     holds, wit = dist.check_split_support(d, theta)
     assert holds == _split_support_oracle(d, theta)
@@ -729,3 +731,29 @@ def test_parse_dist():
     for bad in ("gauss:0,1", "uniform:1", "exp:", "uniform:0;1"):
         with pytest.raises(DomainError):
             dist.parse_dist(bad)
+
+
+@pytest.mark.parametrize("spec, law", [
+    ("uniform:-1,2", dist.uniform(-1.0, 2.0)),
+    ("exp:0.5", dist.exponential(0.5)),
+    ("pareto:2,3", dist.pareto(2.0, 3.0)),
+    ("twopoint:0.2,0.5,0.9", dist.two_point(0.2, 0.5, 0.9)),
+    ("discrete:1.1:0.25,0.1:0.75", dist.finite_discrete([(0.1, 0.75), (1.1, 0.25)])),
+    ("point:0.7", dist.point_mass(0.7)),
+], ids=["uniform", "exp", "pareto", "twopoint", "discrete", "point"])
+def test_parse_dist_builds_one_of_four_kinds(spec, law):
+    # each spec form gives its constructor's law, of one of the four kinds
+    parsed = dist.parse_dist(spec)
+    assert parsed == law and hash(parsed) == hash(law)
+    assert parsed.kind in ("uniform", "exponential", "pareto", "discrete")
+
+
+def test_two_point_and_point_mass_are_discrete_laws():
+    assert dist.two_point(0.2, 0.5, 0.9) == dist.finite_discrete([(0.2, 0.5), (0.9, 0.5)])
+    assert dist.point_mass(0.7) == dist.finite_discrete([(0.7, 1.0)])
+
+
+@pytest.mark.parametrize("spec", ["uniform:0,1,2", "exp:1,2", "twopoint:0,0.5", "point:"])
+def test_parse_dist_wrong_count_of_numbers_names_the_spec(spec):
+    with pytest.raises(DomainError, match=re.escape(f"malformed distribution spec {spec!r}")):
+        dist.parse_dist(spec)

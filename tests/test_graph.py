@@ -11,6 +11,7 @@ import pytest
 from threshnet import dist, graph
 from threshnet.errors import CapacityError, DomainError
 from threshnet.stats import make_stream
+from law_ids import law_id
 
 
 def _adjacency(w, theta):
@@ -125,7 +126,7 @@ def test_sample_graph_holds_the_draw_itself(monkeypatch):
     dist.uniform(0.0, 1.0), dist.exponential(1.0), dist.pareto(1.0, 2.0),
     dist.two_point(0.2, 0.5, 0.9), dist.finite_discrete([(0.1, 0.3), (0.5, 0.3), (0.8, 0.4)]),
     dist.point_mass(0.6),
-], ids=lambda law: law.kind)
+], ids=law_id)
 def test_sampled_triangle_count_matches_the_sampled_graph(law):
     # the draw sorted in place counts as a copy of it in draw order, and as
     # the dense oracle where that fits
@@ -138,7 +139,7 @@ def test_sampled_triangle_count_matches_the_sampled_graph(law):
 
 
 @pytest.mark.parametrize("law", [dist.exponential(1.0), dist.two_point(0.2, 0.5, 0.9)],
-                         ids=lambda law: law.kind)
+                         ids=law_id)
 def test_sampled_triangle_count_holds_one_draw(law):
     # draw, sort and count together stay under two n-long float arrays
     n = 300_000

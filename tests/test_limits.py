@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from threshnet import dist, limits
 from threshnet.errors import DegenerateConditioningError, DomainError
+from law_ids import law_id
 
 UNI = limits.LimitConfig(dist.uniform(0, 1), 1.0)
 
@@ -69,7 +70,7 @@ LIMIT_CDF_KINDS = [
 ]
 
 
-@pytest.mark.parametrize("law", LIMIT_CDF_KINDS, ids=lambda d: d.kind)
+@pytest.mark.parametrize("law", LIMIT_CDF_KINDS, ids=law_id)
 @pytest.mark.parametrize("theta", [0.5, 1.0, 1.4])
 def test_limit_degree_cdf_matches_indicator_definition(law, theta):
     # P(1 - F(theta - X) <= t) as an expectation of an indicator, on a grid,
@@ -168,7 +169,7 @@ def test_conditional_triangle_probability_exp_far_tail(x):
 ALL_KINDS = LIMIT_CDF_KINDS[:2] + [dist.pareto(1.0, 3.0)] + LIMIT_CDF_KINDS[3:]
 
 
-@pytest.mark.parametrize("law", ALL_KINDS, ids=lambda d: d.kind)
+@pytest.mark.parametrize("law", ALL_KINDS, ids=law_id)
 @pytest.mark.parametrize("theta", [1.0, 1.4])
 def test_conditional_triangle_probability_array_equals_scalar_map(law, theta):
     # below and above theta/2, on the atoms, outside the support
@@ -308,7 +309,7 @@ def test_edge_conditioned_correlation_exponential_closed_form():
     assert corr == pytest.approx(float(exact_corr), rel=1e-12, abs=0)
 
 
-# Parameters of each of the six weight kinds.
+# Parameters of each of the six weight-law constructors.
 _LAW_STRATEGIES = {
     "uniform": st.tuples(st.floats(-2, 2), st.floats(0.05, 3)).map(
         lambda t: dist.uniform(t[0], t[0] + t[1])),

@@ -10,6 +10,7 @@ import pytest
 from threshnet import dist, spatial, stats
 from threshnet.errors import CapacityError, DomainError, RegimeError
 from threshnet.stats import make_stream
+from law_ids import law_id
 
 UNI = dist.uniform(0, 1)
 CFG = spatial.SpatialConfig(d=2, beta=2.0, theta=1.0, lam=1.0, r=3.0)
@@ -53,7 +54,7 @@ RADIAL_KINDS = [
 ]
 
 
-@pytest.mark.parametrize("law", RADIAL_KINDS, ids=lambda d: d.kind)
+@pytest.mark.parametrize("law", RADIAL_KINDS, ids=law_id)
 @pytest.mark.parametrize(
     "cfg, r",
     [
@@ -134,7 +135,7 @@ def _mp_survival(law, y):
     return sum(p for a, p in law.atoms() if a > y)
 
 
-@pytest.mark.parametrize("law", RADIAL_KINDS, ids=lambda d: d.kind)
+@pytest.mark.parametrize("law", RADIAL_KINDS, ids=law_id)
 def test_radial_intensity_finite_r_against_mpmath(law):
     # the radial integral itself, cut where theta * s**beta - x meets the
     # support ends or an atom: psi's increasing, decreasing and constant
