@@ -2,12 +2,12 @@
 
 Subcommands: degree, pair, triangles, motif, local, limits, spatial,
 clt-check.  Flags override keys of an optional flat-JSON config file.  Exit
-codes: 0 success, 1 usage error, 2 numeric/capacity error or a size below its
-minimum.  Identical invocations with identical seeds reproduce identical
-output bytes.  Each report goes to --out, or to stdout without it: JSON, or
-CSV for the limits tables and, with --format csv, for the samples.  Commands
-with one sample per replicate also write plot-ready ECDF and histogram CSV
-tables next to an --out report.
+codes: 0 success, 1 usage error, 2 any other package error (numeric, capacity,
+a count outside its bounds).  Identical invocations with identical seeds
+reproduce identical output bytes.  Each report goes to --out, or to stdout
+without it: JSON, or CSV for the limits tables and, with --format csv, for the
+samples.  Commands with one sample per replicate also write plot-ready ECDF and
+histogram CSV tables next to an --out report.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .errors import (
     RegimeError,
     ThreshnetError,
     UsageError,
+    check_count,
 )
 
 
@@ -146,14 +147,6 @@ def _parse(parse_fn, spec: str):
         raise UsageError(str(exc)) from exc
 
 
-def _check_grid(grid, what: str) -> int:
-    """``grid`` as an int, or a DomainError naming the least grid size."""
-    grid = int(grid)
-    if grid < 1:
-        raise DomainError(f"{what} needs grid >= 1, got grid = {grid}")
-    return grid
-
-
 def _write(out, text: str) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -252,7 +245,7 @@ def _corr(a: np.ndarray, b: np.ndarray):
 def _cmd_triangles(cfg: dict) -> None:
     _require(cfg, "dist", "theta", "n")
     dist = _parse(parse_dist, cfg["dist"])
-    n = graph.check_vertex_count(cfg["n"], 3, "the triangle density")
+    n = check_count(cfg["n"], 3, "the triangle density")
     theta = cfg["theta"]
     t_count = graph.count_triangles(
         graph.sample_graph(dist, n, theta, stats.make_stream(cfg["seed"])))
@@ -273,6 +266,7 @@ def _cmd_motif(cfg: dict) -> None:
     dist = _parse(parse_dist, cfg["dist"])
     motif = _parse(motifs.parse_motif, cfg["motif"])
     n, theta = cfg["n"], cfg["theta"]
+    samples = check_count(cfg.get("density_samples", 0), 0, "the motif density", "density_samples")
     stream = stats.make_stream(cfg["seed"])
     g = graph.sample_graph(dist, n, theta, stream)
     count = motifs.count_motif_tuples(g, motif)
@@ -285,23 +279,22 @@ def _cmd_motif(cfg: dict) -> None:
         "symmetry_count": motif.symmetry_count,
         "subgraph_count": count // motif.symmetry_count,
     }
-    if cfg.get("density_samples"):
-        est, se = motifs.motif_probability_mc(
-            dist, motif, theta, cfg["density_samples"], stream
-        )
+    if samples:
+        est, se = motifs.motif_probability_mc(dist, motif, theta, samples, stream)
         payload["motif_probability_mc"] = {"estimate": est, "stderr": se}
     _write_report(cfg, payload)
 
 
 def _cmd_local(cfg: dict) -> None:
+    grid = check_count(cfg["grid"], 1, "the quantile grid", "grid")  # before the replicates
     report, lcfg = _replicates(cfg, "local", "n")
-    _ks(report, "ks_vs_local_limit", local_limit_cdf(lcfg, cfg["grid"]))
+    _ks(report, "ks_vs_local_limit", local_limit_cdf(lcfg, grid))
     _write_report(cfg, report.to_dict(), report.samples, report.columns)
 
 
 def _quantile_grid(dist, grid: int) -> np.ndarray:
     """The weights at the midpoints of ``grid`` equal quantile cells."""
-    grid = _check_grid(grid, "the quantile grid")
+    grid = check_count(grid, 1, "the quantile grid", "grid")
     return dist._ppf((np.arange(grid) + 0.5) / grid)
 
 
@@ -318,11 +311,11 @@ def _cmd_limits(cfg: dict) -> None:
     table, out = cfg["table"], cfg.get("out")
     if table == "degree-pmf":
         _require(cfg, "n")
-        n = graph.check_vertex_count(cfg["n"], 0, "the degree-pmf table")
+        n = check_count(cfg["n"], 0, "the degree-pmf table", cap=10**5)  # an expectation a row
         rows = [(k, limits.degree_pmf(lcfg, n, k)) for k in range(n + 1)]
         _write(out, _csv("k,pmf", rows))
     elif table == "limit-cdf":
-        grid = _check_grid(cfg["grid"], "the limit-cdf table")
+        grid = check_count(cfg["grid"], 1, "the limit-cdf table", "grid")
         ts = np.linspace(0.0, 1.0, grid).tolist()
         _write(out, _csv("t,cdf", [(t, limits.limit_degree_cdf(lcfg, t)) for t in ts]))
     elif table == "h1":
@@ -403,9 +396,6 @@ def main(argv=None) -> int:
     except ThreshnetError as exc:
         print(f"threshnet: error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, TypeError) as exc:
-        print(f"threshnet: usage error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -175,7 +175,8 @@ class WeightDistribution:
             return -np.log(v) / rate
         if self.kind == "pareto":
             c, alpha = self.params
-            return (c / v) ** (1.0 / alpha)
+            with np.errstate(over="ignore", divide="ignore"):  # beyond the floats: inf
+                return (c / v) ** (1.0 / alpha)
         raise DomainError(f"{self.kind} law has no upper-tail quantile")
 
     def _atom_tables(self):
@@ -214,14 +215,14 @@ class WeightDistribution:
 
 
 def uniform(a: float, b: float) -> WeightDistribution:
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise DomainError("uniform requires finite a < b")
+    if not (a < b and math.isfinite(b - a)):  # an infinite or nan end fails too
+        raise DomainError("uniform requires finite a < b whose width b - a is a finite float")
     return WeightDistribution("uniform", (float(a), float(b)))
 
 
 def exponential(rate: float) -> WeightDistribution:
-    if not (math.isfinite(rate) and rate > 0.0):
-        raise DomainError("exponential requires rate > 0")
+    if not (0.0 < rate < math.inf and math.isfinite(1.0 / rate)):
+        raise DomainError("exponential requires a finite rate > 0 whose 1/rate is a finite float")
     return WeightDistribution("exponential", (float(rate),))
 
 
@@ -380,7 +381,11 @@ def expect_rows(dist: WeightDistribution, g, lo, hi, *, points=None, args=(),
         power = float(tail_power)
 
         def integrand(t, *row_args):
-            return power * t ** (power - 1.0) * g(dist._isf(t**power), *row_args)
+            x = dist._isf(v := t**power)
+            if np.isinf(x).any():  # the least level has the largest quantile
+                raise NumericError(f"{dist.kind}:{','.join(map(repr, dist.params))} quantile "
+                                   f"at tail level {float(v.min())!r} overflows a float")
+            return power * t ** (power - 1.0) * g(x, *row_args)
 
         def level(x):  # sf(x) ** (1/p), the row variable at weight x
             return dist.sf(np.asarray(x, dtype=float)) ** (1.0 / power)

@@ -27,3 +27,16 @@ class DegenerateConditioningError(ThreshnetError):
 
 class UsageError(ThreshnetError):
     """Malformed command-line or config-file input."""
+
+
+COUNT_CAP = 100_000_000  # the largest count of vertices, replicates, grid points, samples
+
+
+def check_count(value, minimum: int, what: str, name: str = "n", cap: int = COUNT_CAP) -> int:
+    """``value`` as an int; a DomainError below ``minimum``, a CapacityError above ``cap``."""
+    value = int(value)
+    if value < minimum:
+        raise DomainError(f"{what} needs {name} >= {minimum}, got {name} = {value}")
+    if value > cap:
+        raise CapacityError(f"{what} needs {name} <= {cap}, got {name} = {value}")
+    return value

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import WeightDistribution, parse_dist
-from .errors import DomainError
+from .errors import DomainError, check_count
 from .stats import register_experiment
 
 # Sorted positions per block of count_triangles: bounds its temporaries.
@@ -70,9 +70,7 @@ def sample_graph(
 ) -> GraphSample:
     """Draw n i.i.d. weights; deterministic given the stream state.  The
     graph is the draw itself, sorted in place."""
-    if n < 1:
-        raise DomainError("graph needs at least one vertex")
-    return GraphSample._in_place(dist.sample(stream, n), theta)
+    return GraphSample._in_place(dist.sample(stream, check_count(n, 1, "a graph")), theta)
 
 
 def all_degrees(g: GraphSample) -> np.ndarray:
@@ -159,21 +157,12 @@ def tagged_pair_degrees(
     counted only against the pool of the first n, never against each other,
     and the returned flag says whether they are themselves adjacent.
     """
-    n = check_vertex_count(n, 1, "the tagged-pair degrees")
+    n = check_count(n, 1, "the tagged-pair degrees")
     w = dist.sample(stream, n + 2)
     pool = w[:n]
     d1 = int(np.count_nonzero(pool + w[n] > theta))
     d2 = int(np.count_nonzero(pool + w[n + 1] > theta))
     return d1, d2, bool(w[n] + w[n + 1] > theta)
-
-
-def check_vertex_count(n, minimum: int, what: str) -> int:
-    """``n`` as an int, or a DomainError naming the least n that ``what``
-    is defined for."""
-    n = int(n)
-    if n < minimum:
-        raise DomainError(f"{what} needs n >= {minimum}, got n = {n}")
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +173,7 @@ def check_vertex_count(n, minimum: int, what: str) -> int:
 def _degree_experiment(params: dict, streams) -> list:
     """D_n(1)/n for one fresh graph on n vertices per stream."""
     dist = parse_dist(params["dist"])
-    n = check_vertex_count(params["n"], 1, "the degree fraction")
+    n = check_count(params["n"], 1, "the degree fraction")
     theta = float(params["theta"])
 
     def fraction(stream):  # a local, so no draw outlives its replicate
@@ -197,7 +186,7 @@ def _degree_experiment(params: dict, streams) -> list:
 @register_experiment("pair", columns=("d1_over_n", "d2_over_n", "edge"))
 def _pair_experiment(params: dict, streams) -> list:
     dist = parse_dist(params["dist"])
-    n = check_vertex_count(params["n"], 1, "the tagged-pair degree fraction")
+    n = check_count(params["n"], 1, "the tagged-pair degree fraction")
     theta = float(params["theta"])
     rows = []
     for stream in streams:
@@ -210,7 +199,7 @@ def _pair_experiment(params: dict, streams) -> list:
 def _triangle_experiment(params: dict, streams) -> list:
     """T_n / C(n,3) for one fresh graph per stream."""
     dist = parse_dist(params["dist"])
-    n = check_vertex_count(params["n"], 3, "the triangle density")
+    n = check_count(params["n"], 3, "the triangle density")
     theta = float(params["theta"])
     return [count_triangles(sample_graph(dist, n, theta, stream)) / math.comb(n, 3)
             for stream in streams]
@@ -221,7 +210,7 @@ def _local_triangle_experiment(params: dict, streams) -> list:
     """Triangles at vertex 1 among n+1 vertices, normalized by C(n,2), per
     stream: the first of n + 1 draws is tagged, the other n are the pool."""
     dist = parse_dist(params["dist"])
-    n = check_vertex_count(params["n"], 2, "the local triangle density")
+    n = check_count(params["n"], 2, "the local triangle density")
     theta = float(params["theta"])
 
     def density(stream):  # a local, so no draw outlives its replicate

@@ -30,7 +30,7 @@ from operator import itemgetter
 import numpy as np
 
 from .dist import WeightDistribution
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, check_count
 from .graph import GraphSample
 
 MAX_MOTIF_VERTICES = 8
@@ -49,13 +49,7 @@ class Motif:
 
     @classmethod
     def from_edges(cls, k: int, edges) -> "Motif":
-        if k < 1:
-            raise DomainError("motif needs at least one vertex")
-        if k > MAX_MOTIF_VERTICES:
-            raise CapacityError(
-                f"motif has {k} vertices; symmetry enumeration is capped at "
-                f"{MAX_MOTIF_VERTICES}"
-            )
+        k = check_count(k, 1, "the motif symmetry enumeration", "k", cap=MAX_MOTIF_VERTICES)
         canon = []
         for s, t in edges:
             s, t = int(s), int(t)
@@ -158,11 +152,9 @@ def count_motif_tuples(g: GraphSample, motif: Motif) -> int:
     indicator; the subgraph count isomorphic to the motif is this divided by
     the motif's symmetry count.  Exact at any size, in O(n k 2^k) time.
     """
-    n, k = g.n, motif.k
-    if k > n:
-        raise DomainError(f"motif needs {k} vertices but the graph has {n}")
+    check_count(g.n, motif.k, "the motif census")
     table = _pattern_table(motif)
-    dp = [1] + [0] * ((1 << k) - 1)  # dp[S]: ways to place the motif vertices in S
+    dp = [1] + [0] * ((1 << motif.k) - 1)  # dp[S]: ways to place the motif vertices in S
     for dominating in _creation_sequence(g):
         for state, get in table[dominating]:
             dp[state] = sum(get(dp))
@@ -184,8 +176,7 @@ def motif_probability_mc(
 
     Returns (estimate, binomial standard error).
     """
-    if samples < 1:
-        raise DomainError("need at least one sample")
+    samples = check_count(samples, 1, "the motif probability estimate", "samples")
     hits = 0
     remaining = samples
     while remaining > 0:
@@ -228,8 +219,7 @@ def motif_kernel_variance_mc(
     stays unbiased before the final clamp at zero.  Returns the estimate and
     its delete-one jackknife standard error.
     """
-    if outer < 2:
-        raise DomainError("need at least two outer draws")
+    outer = check_count(outer, 2, "the kernel variance estimate", "outer")
     k = motif.k
     x = dist.sample(stream, outer)
     y1 = dist.sample(stream, (outer, k - 1))

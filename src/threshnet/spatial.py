@@ -14,11 +14,11 @@ mixture path is O(1) in the radius.  The mixture sampler takes a campaign's
 streams together, so the intensities of its random origin weights are
 computed in batches, one per block of ``_STREAMS_PER_BATCH`` streams.
 
-Only the radial coordinate of a point ever enters the connection rule, so
-the direct sampler draws radii (``r * U**(1/d)``) and never materializes
-directions.  It turns the radius draws into their cutoffs
-``theta * radius**beta`` and the weight draws into their sums with the
-origin weight in place, so each replicate holds two arrays of points.
+Only the radial coordinate of a point ever enters the connection rule, so the
+direct sampler never materializes directions or radii: it turns its uniform
+draws U into the cutoffs ``theta * (r * U**(1/d))**beta``, taken as
+``theta * r**beta * U**(beta/d)``, and its weight draws into their sums with
+the origin weight, in place, so each replicate holds two arrays of points.
 """
 
 from __future__ import annotations
@@ -31,10 +31,9 @@ from itertools import islice
 import numpy as np
 
 from .dist import WeightDistribution, expect_rows, expectation, parse_dist
-from .errors import CapacityError, DomainError, RegimeError
+from .errors import COUNT_CAP, CapacityError, DomainError, NumericError, RegimeError
 from .stats import register_experiment
 
-DIRECT_POINT_CAP = 100_000_000
 # Streams per batch of the mixture sampler.  A law without a closed form takes one
 # quadrature row per stream, about 7 KB of node arrays, so 1.75 MB a block at most.
 _STREAMS_PER_BATCH = 256
@@ -124,6 +123,7 @@ def _psi(z, d: int, beta: float, theta: float, r: float, integral: bool = False)
     return z * psi - sign * moved
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _radial_intensity_rows(
     d: int, beta: float, theta: float, dist: WeightDistribution, xs, r: float
 ) -> np.ndarray:
@@ -131,7 +131,9 @@ def _radial_intensity_rows(
     uniform and :func:`_exponential_rows`, else one :func:`expect_rows` batch, a row
     per weight cut where x + X crosses 0, theta * r**beta and theta.  At r = inf under
     pareto(c, alpha), psi grows like v**-g in the tail level v, g = d / (beta alpha)
-    < 1, so the rows run in v**(1 - g)."""
+    < 1, so the rows run in v**(1 - g).  A value beyond the floats is inf or NaN,
+    silently: NaN exponential rows go to quadrature, which refuses a node that is not
+    finite, and the origin-degree rate refuses NaN."""
     if dist.kind == "uniform":
         a, b = dist.params
         upper, lower = (_psi(xs + e, d, beta, theta, r, integral=True) for e in (b, a))
@@ -173,19 +175,18 @@ def sample_origin_degree_direct(
 ) -> int:
     """Origin degree by simulating the whole Poisson cloud in the ball."""
     expected_points = cfg.lam * ball_volume(cfg.d, cfg.r)
-    if expected_points > DIRECT_POINT_CAP:
+    if expected_points > COUNT_CAP:
         raise CapacityError(
             f"direct simulation needs ~{expected_points:.3g} points, over the "
-            f"cap of {DIRECT_POINT_CAP:.3g}; use the mixture sampler"
+            f"cap of {COUNT_CAP:.3g}; use the mixture sampler"
         )
     origin_weight = float(x0) if x0 is not None else dist.sample(stream)
     count = int(stream.poisson(expected_points))
-    # cutoffs theta * (r * U**(1/d))**beta and weight sums, both in place
+    # cutoffs theta * (r * U**(1/d))**beta in one power, and weight sums, in place
     cutoff = stream.random(count)
-    cutoff **= 1.0 / cfg.d
-    cutoff *= cfg.r
-    cutoff **= cfg.beta
-    cutoff *= cfg.theta
+    if cfg.beta != cfg.d:
+        cutoff **= cfg.beta / cfg.d
+    cutoff *= cfg.theta * cfg.r**cfg.beta
     sums = dist.sample(stream, count)
     sums += origin_weight
     return int(np.count_nonzero(sums > cutoff))
@@ -226,8 +227,12 @@ def _poisson(stream: np.random.Generator, mu: float) -> int:
 
 def origin_degree_rate(cfg: SpatialConfig, dist: WeightDistribution, x):
     """Poisson parameter of the origin degree given the origin weight ``x``,
-    a float or an array (see :func:`radial_intensity`)."""
-    return cfg.lam * sphere_surface(cfg.d) * radial_intensity(cfg, dist, x)
+    a float or an array (see :func:`radial_intensity`); NumericError where it is NaN."""
+    rate = cfg.lam * sphere_surface(cfg.d) * radial_intensity(cfg, dist, x)
+    nan = np.isnan(rate)
+    if nan.any():  # named by the first origin weight with a NaN rate
+        raise NumericError(f"the origin-degree rate at x0 = {np.asarray(x)[nan][0]:g} is NaN")
+    return rate
 
 
 def _require_finite_limit(cfg: SpatialConfig, dist: WeightDistribution) -> None:
@@ -276,6 +281,8 @@ def standardized_origin_degree(
     if not centering > 0.0:
         raise DomainError("centering must be > 0")
     scale = cfg.lam * sphere_surface(cfg.d) * centering
+    if not 0.0 < scale < math.inf:
+        raise NumericError(f"lam c_d Cr = {scale!r} at Cr = {centering!r} is not a positive float")
     delta = sample_origin_degree_mixture(cfg, dist, None, streams)
     return (delta - scale) / math.sqrt(scale)
 

@@ -34,7 +34,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, NumericError, UsageError
+from .errors import DomainError, NumericError, UsageError, check_count
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
@@ -127,8 +127,7 @@ def run_replicates(
         raise UsageError(
             f"unknown experiment {experiment!r}; known: {', '.join(sorted(_EXPERIMENTS))}"
         )
-    if replicates < 1:
-        raise DomainError("replicate count must be >= 1")
+    replicates = check_count(replicates, 1, "a campaign", "R")
     fn, columns = _EXPERIMENTS[experiment]
     streams = (make_stream(master_seed, i) for i in range(replicates))
     samples = np.asarray(fn(params, streams), dtype=float)

@@ -1,9 +1,13 @@
 """Command-line interface: contracts on output files, exit codes, config
 merging, and byte-level reproducibility."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -449,6 +453,7 @@ def test_import_does_not_load_scipy():
     (["limits", "--table", "degree-pmf", "--n", "-3"], "n >= 0"),
     (["local", "--n", "10", "--R", "3", "--grid", "0"], "grid >= 1"),
     (["pair", "--n", "0", "--R", "3"], "n >= 1"),
+    (["motif", "--n", "2", "--motif", "k=3;edges=1-2,2-3"], "n >= 3"),
 ])
 def test_small_inputs_name_their_minimum(tmp_path, capsys, args, minimum):
     cfg = tmp_path / "cfg.json"
@@ -572,3 +577,129 @@ def test_mixture_mean_identity_pareto_second_moment(tmp_path):
                 "--seed", "1", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["mean_identity"] == pytest.approx(10.5 * math.pi,
                                                                           rel=1e-9)
+
+
+# The error boundary: every input the CLI accepts ends in a report or a typed
+# error.  Each variant is a small base call; the property sets some of its
+# numeric flags to extreme values and may swap in an extreme weight law.  The
+# base sizes are small and every extreme count is refused before any draw, and
+# direct mode keeps r = 3 and lambda = 1 unless one is set to an extreme, so
+# its point count is either small or over the cap.
+_SPACE_BASE = {"--d": "2", "--beta": "2", "--lambda": "1", "--r": "3", "--R": "3"}
+_VARIANTS = [
+    ("degree", {"--n": "20", "--R": "3"}),
+    ("pair", {"--n": "20", "--R": "3"}),
+    ("triangles", {"--n": "20"}),
+    ("motif", {"--n": "8", "--motif": "k=3;edges=1-2,2-3,3-1", "--density-samples": "10"}),
+    ("local", {"--n": "20", "--R": "3", "--grid": "16"}),
+    ("limits", {"--table": "degree-pmf", "--n": "5"}),
+    ("limits", {"--table": "summary"}),
+    ("limits", {"--table": "limit-cdf", "--grid": "8"}),
+    ("limits", {"--table": "h1", "--grid": "8"}),
+    ("spatial", {"--mode": "mixture", **_SPACE_BASE}),
+    ("spatial", {"--mode": "mixture", **_SPACE_BASE, "--x0": "0.5"}),
+    ("spatial", {"--mode": "mixture", **_SPACE_BASE, "--d": "1", "--beta": "1", "--r": "inf"}),
+    ("spatial", {"--mode": "direct", **_SPACE_BASE}),
+    ("clt-check", {**_SPACE_BASE, "--Cr": "1"}),
+]
+_INT_FLAGS = {"--n", "--R", "--grid", "--density-samples", "--d", "--seed"}
+_FLOAT_FLAGS = {"--theta", "--beta", "--lambda", "--r", "--x0", "--Cr"}
+_EXTREMES = [0.0, -1.0, 1e-320, 1e20, 1e308, math.inf, -math.inf, math.nan]
+_EXTREME_LAWS = ["uniform:0,1", "exp:1", "uniform:-1e308,1e308", "exp:1e-320", "pareto:1,1.01"]
+# A message names a flag, a law or a quantity.
+_NAMED = re.compile(
+    r"--[a-z]|\b(n|R|grid|density_samples|d|r|theta|beta|lam|x0|Cr|"
+    r"uniform|exponential|pareto|weight|rate|mean|variance|quantile|quadrature|count|points)\b")
+
+
+def _extreme_text(flag: str, value: float) -> str:
+    """An integral value as an int for an int flag (1e20 as 100000000000000000000)."""
+    integral = flag in _INT_FLAGS and math.isfinite(value) and value.is_integer()
+    return str(int(value)) if integral else repr(value)
+
+
+@contextlib.contextmanager
+def _time_limit(seconds: int):
+    """Raise TimeoutError in a call that runs past ``seconds``, so that a count
+    the cap no longer refuses fails the test instead of hanging the run."""
+    def expire(signum, frame):
+        raise TimeoutError(f"the call ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_every_input_ends_in_a_report_or_a_typed_error(data):
+    # runs under the suite's filterwarnings = error, so a numpy warning fails
+    # the call like any exception that is not a ThreshnetError
+    command, options = data.draw(st.sampled_from(_VARIANTS))
+    numeric = sorted((set(options) | {"--theta", "--seed"}) & (_INT_FLAGS | _FLOAT_FLAGS))
+    options = {**options, "--dist": data.draw(st.sampled_from(_EXTREME_LAWS)), "--theta": "1"}
+    for flag in data.draw(st.sets(st.sampled_from(numeric), max_size=2)):
+        options[flag] = _extreme_text(flag, data.draw(st.sampled_from(_EXTREMES)))
+    argv = [command, *(f"{flag}={value}" for flag, value in options.items())]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        out = Path(tmp) / "r.out"
+        with _time_limit(20):
+            code = run(argv + ["--out", str(out)])
+        written = out.read_text() if code == 0 else None
+        assert code == 0 or os.listdir(tmp) == [], argv
+    if code == 0:
+        assert "NaN" not in written and "nan" not in written, argv
+    else:
+        assert code in (1, 2) and _NAMED.search(err.getvalue()), (argv, err.getvalue())
+
+
+@pytest.mark.parametrize("args, named", [
+    (["degree", "--n", str(10**20), "--R", "3"], "n <= 100000000, got n = 10"),
+    (["limits", "--table", "degree-pmf", "--n", str(10**20)], "n <= 100000, got n = 10"),
+    (["degree", "--n", "5", "--R", str(10**20)], "R <= 100000000, got R = 10"),
+    (["motif", "--n", "5", "--motif", "k=3;edges=1-2,2-3", "--density-samples", str(10**20)],
+     "density_samples <= 100000000, got density_samples = 10"),
+], ids=["n", "pmf-rows", "R", "density-samples"])
+def test_counts_above_their_cap_end_at_once(tmp_path, args, named):
+    # without the cap these fail in numpy's allocator or run until killed
+    src = str(Path(threshnet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = tmp_path / "r.json"
+    child = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "threshnet.cli", *args,
+         "--dist", "uniform:0,1", "--theta", "1", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 2 and "Traceback" not in child.stderr
+    assert child.stderr.startswith("threshnet: error: ") and named in child.stderr
+    assert not out.exists()
+
+
+_CR = ["clt-check", "--dist", "uniform:0,1", "--theta", "1", "--d", "2", "--beta", "2",
+       "--r", "3", "--R", "3"]
+
+
+@pytest.mark.parametrize("args, code, named", [
+    (["local", "--n", "10", "--R", "3", "--grid", str(10**20)], 2, "grid <= 100000000"),
+    (["limits", "--table", "limit-cdf", "--grid", str(10**20)], 2, "grid <= 100000000"),
+    (["limits", "--table", "h1", "--grid", str(10**20)], 2, "grid <= 100000000"),
+    (_CR + ["--lambda", "1e-10", "--Cr", "1e-320"], 2, "at Cr = 1e-320"),
+    (_CR + ["--lambda", "1", "--Cr", "1e308"], 2, "at Cr = 1e+308"),
+    (_MIXTURE + ["--lambda", "1", "--r", "3", "--x0", "1e308"], 2, "x0 = 1e+308"),
+    (_MIXTURE + ["--d", "1", "--beta", "1", "--lambda", "1", "--r", "inf",
+                 "--dist", "pareto:1,1.01"], 2, "pareto:1.0,1.01 quantile"),
+    (["degree", "--n", "50", "--R", "3", "--dist", "uniform:-1e308,1e308"], 1, "uniform"),
+    (["degree", "--n", "50", "--R", "3", "--dist", "exp:1e-320"], 1, "exponential"),
+], ids=["local-grid", "limit-cdf-grid", "h1-grid", "Cr-underflow", "Cr-overflow",
+        "x0-rate", "pareto-quantile", "uniform-width", "exp-reciprocal"])
+def test_extreme_inputs_name_their_reason(tmp_path, capsys, args, code, named):
+    # a later flag wins, so args may set their own law
+    argv = [args[0], "--dist", "uniform:0,1", "--theta", "1", *args[1:]]
+    assert run(argv + ["--out", str(tmp_path / "r.json")]) == code
+    assert named in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+

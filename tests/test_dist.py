@@ -757,3 +757,30 @@ def test_two_point_and_point_mass_are_discrete_laws():
 def test_parse_dist_wrong_count_of_numbers_names_the_spec(spec):
     with pytest.raises(DomainError, match=re.escape(f"malformed distribution spec {spec!r}")):
         dist.parse_dist(spec)
+
+
+@pytest.mark.parametrize("spec, law", [
+    ("uniform:-1e308,1e308", "uniform"), ("uniform:-inf,0", "uniform"),
+    ("exp:1e-320", "exponential"), ("exp:5e-309", "exponential"),
+])
+def test_parameters_whose_width_or_scale_leaves_the_floats(spec, law):
+    # b - a, or the mean 1/rate, is not a finite float: the quantile would be
+    # NaN or inf at every level
+    with pytest.raises(DomainError, match=rf"^{law} requires .* is a finite float$"):
+        dist.parse_dist(spec)
+
+
+def test_parameters_just_inside_the_floats_still_build():
+    assert dist.uniform(-8e307, 8e307).params == (-8e307, 8e307)
+    assert dist.exponential(1e-300).params == (1e-300,)
+
+
+def test_pareto_upper_quantile_beyond_the_floats_is_inf_without_a_warning():
+    assert dist.pareto(1.0, 1.01)._isf(np.array([1e-320, 0.0])).tolist() == [math.inf] * 2
+
+
+def test_expect_rows_names_the_law_whose_quantile_overflows():
+    # at tail power 1000 the first nodes' levels t**1000 underflow to 0
+    with pytest.raises(NumericError, match=r"^pareto:1\.0,1\.01 quantile at tail level "):
+        dist.expect_rows(dist.pareto(1.0, 1.01), lambda w: 1.0 / w, 1.0, math.inf,
+                         tail_power=1000.0)

@@ -319,3 +319,15 @@ def test_tagged_pair_degrees():
     assert (d1, d2, edge) == (5, 5, True)
     d1, d2, edge = graph.tagged_pair_degrees(dist.point_mass(0.4), 5, 1.0, make_stream(0))
     assert (d1, d2, edge) == (0, 0, False)
+
+
+@pytest.mark.parametrize("n, error, message", [
+    (0, DomainError, r"^a graph needs n >= 1, got n = 0$"),
+    (10**9, CapacityError, r"^a graph needs n <= 100000000, got n = 1000000000$"),
+])
+def test_sample_graph_checks_n_before_any_draw(n, error, message):
+    stream = make_stream(5)
+    state = stream.bit_generator.state
+    with pytest.raises(error, match=message):
+        graph.sample_graph(dist.uniform(0, 1), n, 1.0, stream)
+    assert stream.bit_generator.state == state

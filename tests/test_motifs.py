@@ -229,3 +229,26 @@ def test_kernel_variance_degenerate_cases():
     assert z == 0.0
     with pytest.raises(DomainError):
         motifs.motif_kernel_variance_mc(dist.uniform(0, 1), TRI, 1.0, 1, make_stream(3))
+
+
+@pytest.mark.parametrize("estimator, count, error, message", [
+    (motifs.motif_probability_mc, 0, DomainError, r"needs samples >= 1, got samples = 0$"),
+    (motifs.motif_probability_mc, 10**20, CapacityError, r"needs samples <= 100000000"),
+    (motifs.motif_kernel_variance_mc, 1, DomainError, r"needs outer >= 2, got outer = 1$"),
+    (motifs.motif_kernel_variance_mc, 10**20, CapacityError, r"needs outer <= 100000000"),
+])
+def test_estimator_counts_are_checked_before_any_draw(estimator, count, error, message):
+    stream = make_stream(3)
+    state = stream.bit_generator.state
+    with pytest.raises(error, match=message):
+        estimator(dist.uniform(0, 1), TRI, 1.0, count, stream)
+    assert stream.bit_generator.state == state
+
+
+@pytest.mark.parametrize("k, error, message", [
+    (0, DomainError, r"^the motif symmetry enumeration needs k >= 1, got k = 0$"),
+    (9, CapacityError, r"^the motif symmetry enumeration needs k <= 8, got k = 9$"),
+])
+def test_motif_vertex_count_names_its_bounds(k, error, message):
+    with pytest.raises(error, match=message):
+        motifs.Motif.from_edges(k, [])

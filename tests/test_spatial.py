@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from threshnet import dist, spatial, stats
-from threshnet.errors import CapacityError, DomainError, RegimeError
+from threshnet.errors import CapacityError, DomainError, NumericError, RegimeError
 from threshnet.stats import make_stream
 from law_ids import law_id
 
@@ -394,3 +394,25 @@ def test_mixture_sampler_zero_rate():
 def test_standardized_centering_validation():
     with pytest.raises(DomainError):
         spatial.standardized_origin_degree(CFG, UNI, 0.0, [make_stream(1)])
+
+
+def test_heavy_tail_quantile_overflow_names_the_law():
+    # g = d / (beta alpha) = 1 / 1.01 gives tail power 101, whose levels leave
+    # the floats at x = 1, the least weight; C_inf(1) = 1 + E[X] = 102 is finite
+    cfg = spatial.SpatialConfig(d=1, beta=1.0, theta=1.0, lam=1.0, r=math.inf)
+    with pytest.raises(NumericError, match=r"^pareto:1\.0,1\.01 quantile"):
+        spatial.radial_intensity(cfg, dist.pareto(1.0, 1.01), 1.0)
+
+
+@pytest.mark.parametrize("x0", [1e308, np.array([0.5, 1e308])])
+def test_nan_origin_degree_rate_names_x0(x0):
+    # x0 + X overflows in the closed form of C_r, whose true value is the ball
+    with pytest.raises(NumericError, match=r"^the origin-degree rate at x0 = 1e\+308 is NaN$"):
+        spatial.origin_degree_rate(CFG, UNI, x0)
+
+
+def test_tiny_theta_reaches_the_whole_ball():
+    # z / theta overflows at theta = 1e-320 and clips to r**beta
+    cfg = spatial.SpatialConfig(d=2, beta=2.0, theta=1e-320, lam=1.0, r=3.0)
+    assert spatial.radial_intensity(cfg, UNI, 0.5) == pytest.approx(4.5, rel=1e-15)
+    assert spatial.radial_intensity(cfg, dist.exponential(1.0), 0.5) == pytest.approx(4.5)

@@ -2,6 +2,7 @@
 scipy as the independent oracle for the special functions."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threshnet import dist, graph, spatial, stats
-from threshnet.errors import DomainError, UsageError
+from threshnet.errors import CapacityError, DomainError, NumericError, UsageError
 
 
 def test_substream_seed_is_stable():
@@ -355,3 +356,27 @@ def test_poisson_pmf():
         assert total == pytest.approx(1.0, abs=1e-10)
     with pytest.raises(DomainError):
         stats.poisson_pmf(-1.0, 0)
+
+
+@pytest.mark.parametrize("replicates, error, message", [
+    (0, DomainError, r"^a campaign needs R >= 1, got R = 0$"),
+    (10**20, CapacityError, r"^a campaign needs R <= 100000000, got R = 10{20}$"),
+])
+def test_replicate_count_is_checked_before_any_stream(monkeypatch, replicates, error, message):
+    made = []
+    monkeypatch.setattr(stats, "make_stream", lambda *a: made.append(a))
+    with pytest.raises(error, match=message):
+        stats.run_replicates("degree", {"dist": "uniform:0,1", "theta": 1.0, "n": 5},
+                             replicates, 0)
+    assert made == []
+
+
+@pytest.mark.parametrize("lam, centering", [(1e-10, 1e-320), (1.0, 1e308)])
+def test_clt_scale_beyond_the_floats_names_cr_before_any_stream(monkeypatch, lam, centering):
+    # lam * c_d * Cr underflows to 0 or overflows to inf
+    made = []
+    monkeypatch.setattr(stats, "make_stream", lambda *a: made.append(a))
+    params = dict(_SPACE, dist="uniform:0,1", r=3.0, lam=lam, Cr=centering)
+    with pytest.raises(NumericError, match=re.escape(f"at Cr = {centering!r} is not a positive")):
+        stats.run_replicates("clt", params, 7, 0)
+    assert made == []
