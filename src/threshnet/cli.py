@@ -388,6 +388,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _merge_config(parser, args)
+        if cfg.get("out") is not None and not (folder := Path(cfg["out"]).parent).is_dir():
+            raise UsageError(f"--out {cfg['out']}: the directory {folder} does not exist")
         _COMMANDS[cfg["command"]](cfg)
         return 0
     except UsageError as exc:

@@ -18,8 +18,9 @@ The pareto kind has CDF ``1 - scale_c * x**(-alpha)`` on its support.
 and of one.
 
 Sampling is the inverse transform of ``stream.random``.  An array draw is
-transformed in place by the same formulas as the quantile, so the returned
-array is the only one of the draw's size; a scalar draw is a Python float.
+transformed in place by the same formulas as the quantile, one block of
+``_SAMPLE_BLOCK`` values at a time, so the returned array is the only one of the
+draw's size; a scalar draw is a Python float.
 
 Expectations against the law run in the tail level ``v = sf(x)``: for a
 continuous law :func:`expect_rows`, the one partial expectation
@@ -56,8 +57,8 @@ from .errors import DomainError, NumericError
 # Probability tolerance for validating discrete weights.
 _PROB_TOL = 1e-12
 
-# Values per block of an in-place array draw: bounds its index temporaries.
-_SAMPLE_BLOCK = 2**16
+# Values (128 KB of float64) per block of every array draw in dist, motifs and spatial.
+_SAMPLE_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -161,7 +162,8 @@ class WeightDistribution:
                 x **= 1.0 / alpha
             return x
         vals, cum, _ = self._atom_tables()
-        return np.take(vals, np.searchsorted(cum[1:], u, side="left"), out=out)
+        # no index is out of range for u in [0, 1); "raise" would buffer a copy of out
+        return np.take(vals, np.searchsorted(cum[1:], u, side="left"), out=out, mode="clip")
 
     def _isf(self, v):
         # The quantile at 1 - v, computed from v itself (continuous kinds), so
@@ -363,8 +365,8 @@ def expect_rows(dist: WeightDistribution, g, lo, hi, *, points=None, args=(),
     quantile, cut at ``sf(points)`` (weights, 1-D or (m, p) padded with NaN);
     with ``tail_power`` p the rows run in ``v**(1/p)`` instead, which smooths
     a singularity of g like ``v**(1/p - 1)`` at v = 0.  Raises NumericError,
-    naming the atom or node, where ``g`` is not finite.  Returns a float for
-    scalar inputs, else an array of the broadcast shape.
+    naming the atom or node, where ``g`` is not finite (for a continuous law
+    after the law).  Returns a float for scalar inputs, else an array.
     """
     lo, hi, *extra = np.broadcast_arrays(np.asarray(lo, dtype=float),
                                          np.asarray(hi, dtype=float), *args)
@@ -383,16 +385,19 @@ def expect_rows(dist: WeightDistribution, g, lo, hi, *, points=None, args=(),
         def integrand(t, *row_args):
             x = dist._isf(v := t**power)
             if np.isinf(x).any():  # the least level has the largest quantile
-                raise NumericError(f"{dist.kind}:{','.join(map(repr, dist.params))} quantile "
-                                   f"at tail level {float(v.min())!r} overflows a float")
+                raise NumericError(f"quantile at tail level {float(v.min())!r} overflows a float")
             return power * t ** (power - 1.0) * g(x, *row_args)
 
         def level(x):  # sf(x) ** (1/p), the row variable at weight x
             return dist.sf(np.asarray(x, dtype=float)) ** (1.0 / power)
 
         top = level(lo)
-        values = quad_checked(integrand, np.minimum(level(hi), top), top,
-                              points=None if points is None else level(points), args=extra)
+        try:
+            values = quad_checked(integrand, np.minimum(level(hi), top), top,
+                                  points=None if points is None else level(points), args=extra)
+        except NumericError as exc:  # named by the law, once where expectations nest
+            law = f"{dist.kind}:{','.join(map(repr, dist.params))}"
+            raise (exc if str(exc).startswith(law) else NumericError(f"{law} {exc}")) from None
     return float(values[0]) if not shape else values.reshape(shape)
 
 

@@ -29,14 +29,12 @@ from operator import itemgetter
 
 import numpy as np
 
+from . import dist as _dist
 from .dist import WeightDistribution
 from .errors import CapacityError, DomainError, check_count
 from .graph import GraphSample
 
 MAX_MOTIF_VERTICES = 8
-# Weight tuples drawn at once by motif_probability_mc.  The stream fills a
-# draw row by row, so the estimate does not depend on the block size.
-_MC_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -174,13 +172,15 @@ def motif_probability_mc(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of P(k fresh weights realize the motif).
 
-    Returns (estimate, binomial standard error).
+    Returns (estimate, binomial standard error).  The tuples are drawn one
+    block of ``_SAMPLE_BLOCK // k`` rows at a time; the stream fills a draw
+    row by row, so the estimate does not depend on the block size.
     """
     samples = check_count(samples, 1, "the motif probability estimate", "samples")
     hits = 0
     remaining = samples
     while remaining > 0:
-        b = min(_MC_BLOCK, remaining)
+        b = min(_dist._SAMPLE_BLOCK // motif.k, remaining)
         x = dist.sample(stream, (b, motif.k))
         ok = np.ones(b, dtype=bool)
         for s, t in motif.edges:

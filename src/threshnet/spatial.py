@@ -18,7 +18,10 @@ Only the radial coordinate of a point ever enters the connection rule, so the
 direct sampler never materializes directions or radii: it turns its uniform
 draws U into the cutoffs ``theta * (r * U**(1/d))**beta``, taken as
 ``theta * r**beta * U**(beta/d)``, and its weight draws into their sums with
-the origin weight, in place, so each replicate holds two arrays of points.
+the origin weight, in place.  The stream holds the cutoff uniforms, then the
+weight uniforms: a second cursor, advanced past the cutoffs, reads the weights
+beside them one block of ``dist._SAMPLE_BLOCK`` points at a time, so a replicate
+holds two blocks whatever its point count, and the stream ends where it would.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from itertools import islice
 
 import numpy as np
 
+from . import dist as _dist
 from .dist import WeightDistribution, expect_rows, expectation, parse_dist
 from .errors import COUNT_CAP, CapacityError, DomainError, NumericError, RegimeError
 from .stats import register_experiment
@@ -137,7 +141,9 @@ def _radial_intensity_rows(
     if dist.kind == "uniform":
         a, b = dist.params
         upper, lower = (_psi(xs + e, d, beta, theta, r, integral=True) for e in (b, a))
-        return np.maximum((upper - lower) / (b - a), 0.0)
+        # psi grows with z: where both ends agree, the row is that value (z * psi may overflow)
+        top, bottom = (_psi(xs + e, d, beta, theta, r) for e in (b, a))
+        return np.where(top == bottom, top, np.maximum((upper - lower) / (b - a), 0.0))
     values = np.full(xs.size, np.nan)
     if dist.kind == "exponential" and theta > 0.0 and beta > 0.0 and (d / beta).is_integer():
         values = _exponential_rows(d, beta, theta, dist.params[0], xs, r)
@@ -182,14 +188,24 @@ def sample_origin_degree_direct(
         )
     origin_weight = float(x0) if x0 is not None else dist.sample(stream)
     count = int(stream.poisson(expected_points))
-    # cutoffs theta * (r * U**(1/d))**beta in one power, and weight sums, in place
-    cutoff = stream.random(count)
-    if cfg.beta != cfg.d:
-        cutoff **= cfg.beta / cfg.d
-    cutoff *= cfg.theta * cfg.r**cfg.beta
-    sums = dist.sample(stream, count)
-    sums += origin_weight
-    return int(np.count_nonzero(sums > cutoff))
+    state = stream.bit_generator.state
+    weights = np.random.Generator(type(stream.bit_generator)())  # a cursor past the cutoffs
+    weights.bit_generator.state = state
+    weights.bit_generator.advance(count)
+    scale, degree = cfg.theta * cfg.r**cfg.beta, 0
+    for start in range(0, count, _dist._SAMPLE_BLOCK):
+        size = min(_dist._SAMPLE_BLOCK, count - start)
+        # cutoffs theta * (r * U**(1/d))**beta in one power, and weight sums, in place
+        cutoff = stream.random(size)
+        if cfg.beta != cfg.d:
+            cutoff **= cfg.beta / cfg.d
+        cutoff *= scale
+        sums = dist.sample(weights, size)
+        sums += origin_weight
+        degree += int(np.count_nonzero(sums > cutoff))
+    # the stream ends after the weights, keeping the buffered 32-bit half advance() drops
+    stream.bit_generator.state = {**state, "state": weights.bit_generator.state["state"]}
+    return degree
 
 
 def sample_origin_degree_mixture(

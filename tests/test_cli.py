@@ -689,17 +689,49 @@ _CR = ["clt-check", "--dist", "uniform:0,1", "--theta", "1", "--d", "2", "--beta
     (["limits", "--table", "h1", "--grid", str(10**20)], 2, "grid <= 100000000"),
     (_CR + ["--lambda", "1e-10", "--Cr", "1e-320"], 2, "at Cr = 1e-320"),
     (_CR + ["--lambda", "1", "--Cr", "1e308"], 2, "at Cr = 1e+308"),
-    (_MIXTURE + ["--lambda", "1", "--r", "3", "--x0", "1e308"], 2, "x0 = 1e+308"),
     (_MIXTURE + ["--d", "1", "--beta", "1", "--lambda", "1", "--r", "inf",
                  "--dist", "pareto:1,1.01"], 2, "pareto:1.0,1.01 quantile"),
     (["degree", "--n", "50", "--R", "3", "--dist", "uniform:-1e308,1e308"], 1, "uniform"),
     (["degree", "--n", "50", "--R", "3", "--dist", "exp:1e-320"], 1, "exponential"),
 ], ids=["local-grid", "limit-cdf-grid", "h1-grid", "Cr-underflow", "Cr-overflow",
-        "x0-rate", "pareto-quantile", "uniform-width", "exp-reciprocal"])
+        "pareto-quantile", "uniform-width", "exp-reciprocal"])
 def test_extreme_inputs_name_their_reason(tmp_path, capsys, args, code, named):
     # a later flag wins, so args may set their own law
     argv = [args[0], "--dist", "uniform:0,1", "--theta", "1", *args[1:]]
     assert run(argv + ["--out", str(tmp_path / "r.json")]) == code
     assert named in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [
+    ["--r", "1e20", "--dist", "pareto:1,1.01"],
+    ["--r", "3", "--theta", "1e20", "--dist", "pareto:1,1.01"],
+], ids=["r", "theta"])
+def test_quadrature_failure_names_the_law(tmp_path, capsys, args):
+    assert run(_MIXTURE + ["--lambda", "1", *args, "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("threshnet: error: pareto:1.0,1.01 quadrature did not converge on ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode", ["mixture", "direct"])
+def test_saturated_uniform_rate_is_the_whole_ball(tmp_path, mode):
+    # x0 + X reaches every radius, so the rate is lam * c_d * r**d / d = pi; the
+    # closed form's antiderivatives z * psi overflow at z = 1e308
+    out = tmp_path / "s.json"
+    assert run(["spatial", "--mode", mode, "--d", "2", "--beta", "2", "--theta", "1",
+                "--lambda", "1", "--r", "1", "--x0", "1e308", "--dist", "uniform:0,1",
+                "--R", "200", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["conditional_poisson_rate"] == math.pi
+    assert report["gof"]["pvalue"] > 1e-3
+
+
+def test_out_into_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert run(["limits", "--table", "summary", "--dist", "uniform:0,1", "--theta", "1",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("threshnet: usage error: ") and str(out) in err
     assert list(tmp_path.iterdir()) == []
 

@@ -214,12 +214,13 @@ def test_probability_mc():
 
 
 def test_motif_mc_estimate_does_not_depend_on_the_block(monkeypatch):
-    estimates = []
-    for block in (7, 1000):
-        monkeypatch.setattr(motifs, "_MC_BLOCK", block)
-        estimates.append(motifs.motif_probability_mc(
-            dist.exponential(1.0), C4, 1.0, 2503, make_stream(6)))
-    assert estimates[0] == estimates[1]
+    # 7 values a block draw one 4-tuple at a time, 1000 draw 250
+    for law in (dist.exponential(1.0), dist.two_point(0.2, 0.5, 0.9)):
+        estimates = []
+        for block in (7, 1000):
+            monkeypatch.setattr(dist, "_SAMPLE_BLOCK", block)
+            estimates.append(motifs.motif_probability_mc(law, C4, 1.0, 2503, make_stream(6)))
+        assert estimates[0] == estimates[1]
 
 
 def test_kernel_variance_degenerate_cases():

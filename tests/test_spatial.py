@@ -2,6 +2,7 @@
 mixture law, and the standardized-degree pipeline."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -238,6 +239,20 @@ def _direct_out_of_place(cfg, law, x0, stream):
     return int(np.count_nonzero(origin_weight + weights > cfg.theta * radii**cfg.beta))
 
 
+def _assert_direct_equals_out_of_place(cfg, law, x0, seed):
+    # three replicates on one stream give the reference's degrees and leave its
+    # state, also with a buffered 32-bit half, which advancing a copy clears
+    for fill in (False, True):
+        fast, slow = make_stream(seed), make_stream(seed)
+        if fill:
+            fast.integers(2**32, dtype=np.uint32)
+            slow.integers(2**32, dtype=np.uint32)
+        for _ in range(3):
+            assert spatial.sample_origin_degree_direct(cfg, law, x0, fast) == \
+                _direct_out_of_place(cfg, law, x0, slow)
+            assert fast.bit_generator.state == slow.bit_generator.state
+
+
 @pytest.mark.parametrize("x0", [None, 0.35])
 @pytest.mark.parametrize("beta", [0.5, 1.0, 2.5])
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -245,10 +260,31 @@ def test_direct_sampler_in_place_equals_out_of_place(d, beta, x0):
     cfg = spatial.SpatialConfig(d=d, beta=beta, theta=1.0, lam=2.0, r=4.0)
     for law in (UNI, dist.exponential(1.0), dist.pareto(1.0, 3.0),
                 dist.two_point(0.2, 0.5, 0.9)):
-        fast, slow = make_stream(d * 31 + 7), make_stream(d * 31 + 7)
-        for _ in range(3):
-            assert spatial.sample_origin_degree_direct(cfg, law, x0, fast) == \
-                _direct_out_of_place(cfg, law, x0, slow)
+        _assert_direct_equals_out_of_place(cfg, law, x0, d * 31 + 7)
+
+
+@pytest.mark.parametrize("law", [UNI, dist.exponential(1.0), dist.pareto(1.0, 3.0),
+                                 dist.two_point(0.2, 0.5, 0.9)], ids=law_id)
+@pytest.mark.parametrize("x0, beta, theta", [(None, 2.0, 1.0), (0.35, -1.0, -0.5)])
+def test_direct_sampler_across_blocks_equals_out_of_place(law, x0, beta, theta):
+    # about 141k points, nine blocks of dist._SAMPLE_BLOCK and a partial one
+    cfg = spatial.SpatialConfig(d=2, beta=beta, theta=theta, lam=2.0, r=150.0)
+    assert cfg.lam * spatial.ball_volume(2, cfg.r) > 8 * dist._SAMPLE_BLOCK
+    _assert_direct_equals_out_of_place(cfg, law, x0, 11)
+
+
+def test_direct_sampler_holds_two_blocks():
+    # about 1.1e6 points: the cutoffs and the weight sums, one block of each
+    cfg = spatial.SpatialConfig(d=2, beta=2.0, theta=1.0, lam=1.0, r=592.0)
+    stream = make_stream(12)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        spatial.sample_origin_degree_direct(cfg, UNI, None, stream)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_direct_sampler_capacity():
@@ -404,11 +440,19 @@ def test_heavy_tail_quantile_overflow_names_the_law():
         spatial.radial_intensity(cfg, dist.pareto(1.0, 1.01), 1.0)
 
 
-@pytest.mark.parametrize("x0", [1e308, np.array([0.5, 1e308])])
+@pytest.mark.parametrize("x0", [math.nan, np.array([0.5, math.nan])])
 def test_nan_origin_degree_rate_names_x0(x0):
-    # x0 + X overflows in the closed form of C_r, whose true value is the ball
-    with pytest.raises(NumericError, match=r"^the origin-degree rate at x0 = 1e\+308 is NaN$"):
+    with pytest.raises(NumericError, match=r"^the origin-degree rate at x0 = nan is NaN$"):
         spatial.origin_degree_rate(CFG, UNI, x0)
+
+
+@pytest.mark.parametrize("x0", [20.0, 1e17, 1e308])
+def test_saturated_uniform_rate_is_the_whole_ball(x0):
+    # every x0 + X reaches the whole ball, where the antiderivatives z * psi
+    # of the closed form cancel (1e17) or overflow (1e308)
+    assert spatial.origin_degree_rate(CFG, UNI, x0) == 9 * math.pi
+    rates = spatial.origin_degree_rate(CFG, UNI, np.array([0.5, x0, -x0]))
+    assert rates.tolist() == [spatial.origin_degree_rate(CFG, UNI, 0.5), 9 * math.pi, 0.0]
 
 
 def test_tiny_theta_reaches_the_whole_ball():
