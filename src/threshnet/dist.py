@@ -97,8 +97,8 @@ class WeightDistribution:
         """P(X <= x); accepts scalars or arrays."""
         xv = np.asarray(x, dtype=float)
         if self.kind == "uniform":
-            a, b = self.params
-            out = np.clip((xv - a) / (b - a), 0.0, 1.0)
+            a, b = self.params  # x clipped first: x - a can overflow where b - a does not
+            out = (np.clip(xv, a, b) - a) / (b - a)
         elif self.kind == "exponential":
             (rate,) = self.params
             out = np.where(xv < 0.0, 0.0, -np.expm1(-rate * np.maximum(xv, 0.0)))
@@ -118,7 +118,7 @@ class WeightDistribution:
         xv = np.asarray(x, dtype=float)
         if self.kind == "uniform":
             a, b = self.params
-            out = np.clip((b - xv) / (b - a), 0.0, 1.0)
+            out = (b - np.clip(xv, a, b)) / (b - a)
         elif self.kind == "exponential":
             (rate,) = self.params
             out = np.exp(-rate * np.maximum(xv, 0.0))

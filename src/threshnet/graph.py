@@ -16,11 +16,19 @@ Counting identities used below, with weights sorted ascending
   the correction removing the self pairing;
 * triangles: a triple is a triangle iff its two smallest weights already sum
   above theta, so ``T = sum over b of max(0, b - first(w[b])) * (n - 1 - b)``
-  (the light partners a of b, times the third vertex after ``b``), summed
-  over blocks of positions so that no temporary is n long;
+  (the light partners a of b, times the third vertex after ``b``);
 * local triangles of a tagged vertex of weight x: its neighbours are the
   suffix ``w[first(x):]``, and its triangles are the pair count
   ``sum over b of max(0, b - first(w[b]))`` taken over that suffix.
+
+Every counter walks its positions in blocks of ``_COUNT_BLOCK``, so besides
+the weights (and the n degrees that :func:`all_degrees` returns) it holds one
+block of temporaries whatever n is.  The ``degree`` experiment does not even
+hold its weights: it draws them one block of ``dist._SAMPLE_BLOCK`` at a time,
+aligned as a whole-array draw, counts each block against the first weight and
+drops it, so its samples and the stream's end state equal those of one draw.
+A weight sum beyond the floats is inf, which still compares above theta, so
+the counters form their sums with numpy's overflow warning off.
 """
 
 from __future__ import annotations
@@ -30,12 +38,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dist as _dist
 from .dist import WeightDistribution, parse_dist
 from .errors import DomainError, check_count
 from .stats import register_experiment
 
-# Sorted positions per block of count_triangles: bounds its temporaries.
-_TRIANGLE_BLOCK = 2**14
+# Sorted positions per block of every counter: bounds their temporaries.
+_COUNT_BLOCK = 2**12
 
 
 @dataclass(frozen=True)
@@ -73,26 +82,28 @@ def sample_graph(
     return GraphSample._in_place(dist.sample(stream, check_count(n, 1, "a graph")), theta)
 
 
+@np.errstate(over="ignore")
 def all_degrees(g: GraphSample) -> np.ndarray:
     """Degree of every vertex, in the order of ``g.weights``, O(n log n)."""
-    w = g.weights
-    return g.n - _first_adjacent(w, g.theta) - (w + w > g.theta)
+    w, degrees = g.weights, np.empty(g.n, dtype=np.int64)
+    for s, first in _first_adjacent_blocks(w, g.theta):
+        q = w[s:s + first.size]
+        np.subtract(g.n - first, q + q > g.theta, out=degrees[s:s + first.size])
+    return degrees
 
 
 def edge_count(g: GraphSample) -> int:
     return int(all_degrees(g).sum(dtype=np.int64)) // 2
 
 
-def _first_adjacent(sw: np.ndarray, theta: float, q: np.ndarray | None = None) -> np.ndarray:
-    """For each query weight x of ``q`` (default: ``sw`` itself), the first
-    position p of the ascending weights ``sw`` with ``sw[p] + x > theta``.
+def _first_adjacent(sw: np.ndarray, theta: float, q: np.ndarray) -> np.ndarray:
+    """For each query weight x of ``q``, the first position p of the
+    ascending weights ``sw`` with ``sw[p] + x > theta``.
 
     A binary search for ``theta - x`` can land off the sum rule where the
     rounding of ``theta - x`` crosses a weight; such positions are moved past
     whole runs of tied weights until the rule holds on both sides.
     """
-    if q is None:
-        q = sw
     n = sw.size
     first = np.searchsorted(sw, theta - q, side="right")
     below = np.empty_like(first)
@@ -111,30 +122,45 @@ def _first_adjacent(sw: np.ndarray, theta: float, q: np.ndarray | None = None) -
         first[down] = np.searchsorted(sw, sw[below[down]], side="left")
 
 
+@np.errstate(over="ignore")
+def _count_adjacent(w: np.ndarray, x, theta: float) -> int:
+    """How many weights of ``w`` are adjacent to a weight ``x``, counted one
+    ``_COUNT_BLOCK`` at a time."""
+    return sum(int(np.count_nonzero(w[s:s + _COUNT_BLOCK] + x > theta))
+               for s in range(0, w.size, _COUNT_BLOCK))
+
+
+def _first_adjacent_blocks(sw: np.ndarray, theta: float):
+    """``(s, first)`` for each block of ``_COUNT_BLOCK`` positions of the
+    ascending weights ``sw`` from position s: ``first`` holds
+    :func:`_first_adjacent` of the block's own weights."""
+    for s in range(0, sw.size, _COUNT_BLOCK):
+        yield s, _first_adjacent(sw, theta, sw[s:s + _COUNT_BLOCK])
+
+
+@np.errstate(over="ignore")
 def count_triangles(g: GraphSample) -> int:
     """Number of unordered triangles, O(n log n).
 
     For each sorted position b, every position a < b with
     ``w[a] + w[b] > theta`` closes a triangle with each of the ``n - 1 - b``
     heavier vertices, because the pair (a, b) is then the light pair of the
-    triple.  Positions are taken in blocks of ``_TRIANGLE_BLOCK``, so every
-    temporary is block-sized.
+    triple.
     """
-    n, sw = g.n, g.weights
+    n = g.n
     # each term is below n**2, so a chunk of 2**63 // n**2 terms cannot wrap
     step = max(1, 2**63 // (n * n))
     total = 0
-    for s in range(0, n, _TRIANGLE_BLOCK):
-        e = min(n, s + _TRIANGLE_BLOCK)
-        terms = _first_adjacent(sw, g.theta, sw[s:e])
-        b = np.arange(s, e, dtype=np.int64)
+    for s, terms in _first_adjacent_blocks(g.weights, g.theta):
+        b = np.arange(s, s + terms.size, dtype=np.int64)
         np.subtract(b, terms, out=terms)  # light partners of each b, in place
         np.maximum(terms, 0, out=terms)
         terms *= np.subtract(n - 1, b, out=b)
-        total += sum(int(terms[i:i + step].sum()) for i in range(0, e - s, step))
+        total += sum(int(terms[i:i + step].sum()) for i in range(0, terms.size, step))
     return total
 
 
+@np.errstate(over="ignore")
 def count_local_triangles(g: GraphSample, x: float) -> int:
     """Triangles through a tagged vertex of weight ``x`` joined to ``g``: the
     adjacent pairs among its neighbours, counted off their sorted weights
@@ -144,8 +170,11 @@ def count_local_triangles(g: GraphSample, x: float) -> int:
         raise DomainError(f"tagged weight must be finite, got {x}")
     w = g.weights
     nb = w[int(_first_adjacent(w, g.theta, np.array([x]))[0]):]
-    pairs = np.arange(nb.size) - _first_adjacent(nb, g.theta)  # lighter partners
-    return int(pairs[pairs > 0].sum())
+    total = 0
+    for s, pairs in _first_adjacent_blocks(nb, g.theta):
+        np.subtract(np.arange(s, s + pairs.size), pairs, out=pairs)  # lighter partners
+        total += int(pairs[pairs > 0].sum())
+    return total
 
 
 def tagged_pair_degrees(
@@ -154,15 +183,14 @@ def tagged_pair_degrees(
     """Degrees of two tagged vertices into a shared pool, plus their edge.
 
     Draws ``n + 2`` weights; the two tagged vertices (indices n, n+1) are
-    counted only against the pool of the first n, never against each other,
-    and the returned flag says whether they are themselves adjacent.
+    counted only against the pool of the first n, one ``_COUNT_BLOCK`` at a
+    time, never against each other, and the returned flag says whether they
+    are themselves adjacent.  ``n`` is a count of at least 1 that the caller
+    has checked, as the ``pair`` experiment does once per campaign.
     """
-    n = check_count(n, 1, "the tagged-pair degrees")
     w = dist.sample(stream, n + 2)
-    pool = w[:n]
-    d1 = int(np.count_nonzero(pool + w[n] > theta))
-    d2 = int(np.count_nonzero(pool + w[n + 1] > theta))
-    return d1, d2, bool(w[n] + w[n + 1] > theta)
+    x1, x2 = w[n:].tolist()  # floats: a sum beyond them is inf, with no warning
+    return _count_adjacent(w[:n], x1, theta), _count_adjacent(w[:n], x2, theta), x1 + x2 > theta
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +204,16 @@ def _degree_experiment(params: dict, streams) -> list:
     n = check_count(params["n"], 1, "the degree fraction")
     theta = float(params["theta"])
 
-    def fraction(stream):  # a local, so no draw outlives its replicate
-        w = dist.sample(stream, n)
-        return int(np.count_nonzero(w[1:] + w[0] > theta)) / n
+    def fraction(stream):
+        # blocks aligned as one draw of n; the tagged weight is the first
+        # block's own value (pareto's scalar quantile rounds differently)
+        count, x = 0, None
+        for start in range(0, n, _dist._SAMPLE_BLOCK):
+            block = dist.sample(stream, min(_dist._SAMPLE_BLOCK, n - start))
+            if x is None:
+                x, block = block[0], block[1:]
+            count += _count_adjacent(block, x, theta)
+        return count / n
 
     return [fraction(stream) for stream in streams]
 

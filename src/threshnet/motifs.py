@@ -183,8 +183,9 @@ def motif_probability_mc(
         b = min(_dist._SAMPLE_BLOCK // motif.k, remaining)
         x = dist.sample(stream, (b, motif.k))
         ok = np.ones(b, dtype=bool)
-        for s, t in motif.edges:
-            ok &= x[:, s - 1] + x[:, t - 1] > theta
+        with np.errstate(over="ignore"):  # a sum beyond the floats is inf, above theta
+            for s, t in motif.edges:
+                ok &= x[:, s - 1] + x[:, t - 1] > theta
         hits += int(np.count_nonzero(ok))
         remaining -= b
     p = hits / samples

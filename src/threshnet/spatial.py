@@ -109,22 +109,27 @@ def _radial_intensity_cached(
     return float(_radial_intensity_rows(d, beta, theta, dist, np.array([x]), r)[0])
 
 
-def _psi(z, d: int, beta: float, theta: float, r: float, integral: bool = False):
+def _psi(z, d: int, beta: float, theta: float, r: float, integral: bool = False,
+         width: float = 1.0):
     """psi(z), the measure s**(d-1) ds of the set {s <= r : theta * s**beta < z}:
     [0, w) where theta * s**beta increases in s, (w, r] where it decreases, all
     or nothing where theta * beta = 0.  With ``integral``, an antiderivative of
-    psi: z psi(z) less the integral of theta * s**beta over the set."""
+    psi divided by ``width``: z psi(z) less the integral of theta * s**beta over
+    the set, each term scaled before it can overflow (exact at width 1)."""
     if theta * beta == 0.0:
         full = r**d / d
-        return full * np.maximum(z - theta, 0.0) if integral else np.where(z > theta, full, 0.0)
+        if integral:
+            return full * (np.maximum(z - theta, 0.0) / width)
+        return np.where(z > theta, full, 0.0)
     rb, sign = r**beta, math.copysign(1.0, theta * beta)
     p = np.clip(z / theta, 0.0, rb) if beta > 0.0 else np.maximum(z / theta, rb)  # w**beta
     head = p ** (d / beta) / d  # the measure of [0, w)
     psi = head if sign > 0.0 else rb ** (d / beta) / d - head
     if not integral:
         return psi
-    moved = theta * (np.log(p) / beta if d + beta == 0.0 else p * head * d / (d + beta))
-    return z * psi - sign * moved
+    moved = theta * (np.log(p) / beta / width if d + beta == 0.0
+                     else p / width * head * d / (d + beta))
+    return z / width * psi - sign * moved
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -140,10 +145,18 @@ def _radial_intensity_rows(
     finite, and the origin-degree rate refuses NaN."""
     if dist.kind == "uniform":
         a, b = dist.params
-        upper, lower = (_psi(xs + e, d, beta, theta, r, integral=True) for e in (b, a))
+
+        def rows(x, width=1.0):  # the antiderivatives' difference over [x + a, x + b]
+            upper, lower = (_psi(x + e, d, beta, theta, r, True, width) for e in (b, a))
+            return upper - lower
+
         # psi grows with z: where both ends agree, the row is that value (z * psi may overflow)
         top, bottom = (_psi(xs + e, d, beta, theta, r) for e in (b, a))
-        return np.where(top == bottom, top, np.maximum((upper - lower) / (b - a), 0.0))
+        values = np.where(top == bottom, top, np.maximum(rows(xs) / (b - a), 0.0))
+        # where z * psi overflowed, the rows are formed from antiderivatives over the width
+        wide = ~np.isfinite(values)
+        values[wide] = np.maximum(rows(xs[wide], b - a), 0.0)
+        return values
     values = np.full(xs.size, np.nan)
     if dist.kind == "exponential" and theta > 0.0 and beta > 0.0 and (d / beta).is_integer():
         values = _exponential_rows(d, beta, theta, dist.params[0], xs, r)
@@ -201,7 +214,8 @@ def sample_origin_degree_direct(
             cutoff **= cfg.beta / cfg.d
         cutoff *= scale
         sums = dist.sample(weights, size)
-        sums += origin_weight
+        with np.errstate(over="ignore"):  # a sum beyond the floats is inf, above a finite cutoff
+            sums += origin_weight
         degree += int(np.count_nonzero(sums > cutoff))
     # the stream ends after the weights, keeping the buffered 32-bit half advance() drops
     stream.bit_generator.state = {**state, "state": weights.bit_generator.state["state"]}
@@ -243,8 +257,11 @@ def _poisson(stream: np.random.Generator, mu: float) -> int:
 
 def origin_degree_rate(cfg: SpatialConfig, dist: WeightDistribution, x):
     """Poisson parameter of the origin degree given the origin weight ``x``,
-    a float or an array (see :func:`radial_intensity`); NumericError where it is NaN."""
-    rate = cfg.lam * sphere_surface(cfg.d) * radial_intensity(cfg, dist, x)
+    a float or an array (see :func:`radial_intensity`); inf beyond the floats,
+    NumericError where it is NaN."""
+    intensity = radial_intensity(cfg, dist, x)
+    with np.errstate(over="ignore"):
+        rate = cfg.lam * sphere_surface(cfg.d) * intensity
     nan = np.isnan(rate)
     if nan.any():  # named by the first origin weight with a NaN rate
         raise NumericError(f"the origin-degree rate at x0 = {np.asarray(x)[nan][0]:g} is NaN")

@@ -235,8 +235,10 @@ _MIN_EXPECTED = 5.0
 def chi_square_gof(observed, probs):
     """Pearson chi-square test of counts against cell probabilities.
 
-    Starved cells are merged inward from both tails until every expected
-    count reaches ``_MIN_EXPECTED``; remaining starvation is an error.
+    Starved cells are merged inward from both tails until each end cell's
+    expected count reaches ``_MIN_EXPECTED``; then a starved cell beside an
+    end is folded into that end until the second cell from each end is fed
+    too, which settles a unimodal law.  Remaining starvation is an error.
     Returns ``(statistic, dof, p_value)`` with ``dof = cells - 1``.
     """
     obs = [float(o) for o in observed]
@@ -246,14 +248,20 @@ def chi_square_gof(observed, probs):
     if abs(math.fsum(prb) - 1.0) > 1e-9:
         raise DomainError("cell probabilities must sum to 1")
     n = math.fsum(obs)
+
+    def fold(into: int, cell: int):  # merge the cell into its neighbour
+        obs[into] += obs[cell]
+        prb[into] += prb[cell]
+        del obs[cell], prb[cell]
+
     while len(obs) > 1 and n * prb[-1] < _MIN_EXPECTED:
-        obs[-2] += obs[-1]
-        prb[-2] += prb[-1]
-        del obs[-1], prb[-1]
+        fold(-2, -1)
     while len(obs) > 1 and n * prb[0] < _MIN_EXPECTED:
-        obs[1] += obs[0]
-        prb[1] += prb[0]
-        del obs[0], prb[0]
+        fold(1, 0)
+    while len(obs) > 2 and n * prb[-2] < _MIN_EXPECTED:
+        fold(-1, -2)
+    while len(obs) > 2 and n * prb[1] < _MIN_EXPECTED:
+        fold(0, 1)
     expected = [n * p for p in prb]
     if any(e < _MIN_EXPECTED for e in expected) or len(obs) < 2:
         raise DomainError(

@@ -13,6 +13,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -605,7 +606,8 @@ _VARIANTS = [
 _INT_FLAGS = {"--n", "--R", "--grid", "--density-samples", "--d", "--seed"}
 _FLOAT_FLAGS = {"--theta", "--beta", "--lambda", "--r", "--x0", "--Cr"}
 _EXTREMES = [0.0, -1.0, 1e-320, 1e20, 1e308, math.inf, -math.inf, math.nan]
-_EXTREME_LAWS = ["uniform:0,1", "exp:1", "uniform:-1e308,1e308", "exp:1e-320", "pareto:1,1.01"]
+_EXTREME_LAWS = ["uniform:0,1", "exp:1", "uniform:-1e308,1e308", "uniform:0,1e308", "exp:1e-320",
+                 "pareto:1,1.01"]
 # A message names a flag, a law or a quantity.
 _NAMED = re.compile(
     r"--[a-z]|\b(n|R|grid|density_samples|d|r|theta|beta|lam|x0|Cr|"
@@ -725,6 +727,35 @@ def test_saturated_uniform_rate_is_the_whole_ball(tmp_path, mode):
     report = json.loads(out.read_text())
     assert report["conditional_poisson_rate"] == math.pi
     assert report["gof"]["pvalue"] > 1e-3
+
+
+def test_chi_square_verdict_beside_a_merged_tail(tmp_path):
+    # the top tail merges to an expected 5.9 and leaves 3.4 in the cell beside it
+    gof = _gof(tmp_path, "spatial --mode mixture --d 2 --beta 2 --theta 1 --lambda 1 --r 3 "
+                         "--x0 20 --dist uniform:0,1 --R 1000")
+    assert gof["name"] == "chi2_vs_poisson" and gof["pvalue"] > 1e-3
+
+
+def test_poisson_verdict_at_every_replicate_count():
+    # at the whole ball's rate 9 pi, R = 50 ... 3,450 all starved a cell
+    # beside a merged tail
+    rate = 9 * math.pi
+    for replicates in range(50, 30_001, 50):
+        samples = np.random.default_rng(replicates).poisson(rate, replicates).astype(float)
+        _, dof, pvalue = threshnet.cli._poisson_gof(samples, rate)
+        assert dof >= 1 and 0.0 <= pvalue <= 1.0, replicates
+
+
+def test_wide_uniform_rate_is_the_whole_ball(tmp_path):
+    # 0.5 + X reaches the whole ball but with probability 9e-308; the closed
+    # form's antiderivatives z * psi overflow near z = 1e308
+    out = tmp_path / "s.json"
+    assert run(["spatial", "--mode", "mixture", "--d", "2", "--beta", "2", "--theta", "1",
+                "--lambda", "1", "--r", "3", "--x0", "0.5", "--dist", "uniform:0,1e308",
+                "--R", "200", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["conditional_poisson_rate"] == pytest.approx(9 * math.pi, rel=1e-12)
+    assert report["gof"]["name"] == "chi2_vs_poisson"
 
 
 def test_out_into_a_missing_directory_is_a_usage_error(tmp_path, capsys):

@@ -56,6 +56,22 @@ def test_generalized_inverse(d):
             assert d._ppf(c) <= x + 1e-12
 
 
+def test_uniform_tails_clip_before_the_difference():
+    # b - x and x - a overflow far outside [0, 1e308]; on the support the
+    # tails are the plain quotients, bit for bit
+    wide = dist.uniform(0.0, 1e308)
+    xs = [-1e308, -math.inf, 0.0, 5e307, 1e308, math.inf]
+    assert wide.sf(np.array(xs)).tolist() == [1.0, 1.0, 1.0, 0.5, 0.0, 0.0]
+    assert wide.cdf(np.array(xs)).tolist() == [0.0, 0.0, 0.0, 0.5, 1.0, 1.0]
+    assert [wide.sf(x) for x in xs] == [1.0, 1.0, 1.0, 0.5, 0.0, 0.0]
+    rng = np.random.default_rng(41)
+    for a, b in ((0.0, 1.0), (-3.0, 0.25), (0.0, 1e308), (-1e308, -1e307)):
+        x = np.concatenate([rng.uniform(a, b, 1000), [a, b]])
+        law = dist.uniform(a, b)
+        assert law.sf(x).tobytes() == ((b - x) / (b - a)).tobytes()
+        assert law.cdf(x).tobytes() == ((x - a) / (b - a)).tobytes()
+
+
 def test_cdf_shape_on_grid():
     for d in ALL_KINDS:
         lo, hi = d.support()

@@ -190,7 +190,7 @@ def test_triangles_across_blocks_closed_form(light, heavy):
     w = dist.two_point(light, 0.5, heavy).sample(make_stream(12), n)
     h = int(np.count_nonzero(w == heavy))
     expected = math.comb(h, 3) + (math.comb(h, 2) * (n - h) if light + heavy > 1.0 else 0)
-    assert n > 4 * graph._TRIANGLE_BLOCK
+    assert n > 4 * graph._COUNT_BLOCK
     assert graph.count_triangles(graph.GraphSample.from_weights(w, 1.0)) == expected
 
 
@@ -268,7 +268,7 @@ def test_oracle_parity_random_instances():
 def _local_triangles_by_mask(g, x):
     # the neighbours as the float mask w + x > theta, counted off their sorted weights
     nb = g.weights[g.weights + x > g.theta]
-    pairs = np.arange(nb.size) - graph._first_adjacent(nb, g.theta)
+    pairs = np.arange(nb.size) - graph._first_adjacent(nb, g.theta, nb)
     return int(pairs[pairs > 0].sum())
 
 
@@ -331,3 +331,105 @@ def test_sample_graph_checks_n_before_any_draw(n, error, message):
     with pytest.raises(error, match=message):
         graph.sample_graph(dist.uniform(0, 1), n, 1.0, stream)
     assert stream.bit_generator.state == state
+
+
+# ---------------------------------------------------------------------------
+# blocked counters against their unblocked forms
+
+_BLOCK_SPECS = ["uniform:0,1", "exp:1", "pareto:1,3", "twopoint:0.1,0.5,0.9",
+                "discrete:0.1:0.3,0.5:0.3,0.9:0.4"]  # atoms tie; 0.1 + 0.9 == 1 is no edge
+
+
+def _sizes_around(block):
+    """Vertex counts on both sides of one and of two block boundaries."""
+    return sorted({1, 2, block - 1, block, block + 1, 2 * block + 1} - {0})
+
+
+def _unblocked_degrees(g):
+    w = g.weights
+    return g.n - graph._first_adjacent(w, g.theta, w) - (w + w > g.theta)
+
+
+def _unblocked_triangles(g):
+    b = np.arange(g.n)
+    partners = np.maximum(b - graph._first_adjacent(g.weights, g.theta, g.weights), 0)
+    return int((partners * (g.n - 1 - b)).sum())
+
+
+def _unblocked_local_triangles(g, x):
+    nb = g.weights[graph._first_adjacent(g.weights, g.theta, np.array([x]))[0]:]
+    pairs = np.arange(nb.size) - graph._first_adjacent(nb, g.theta, nb)
+    return int(pairs[pairs > 0].sum())
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000])
+@pytest.mark.parametrize("spec", _BLOCK_SPECS)
+def test_blocked_counters_equal_their_unblocked_forms(monkeypatch, block, spec):
+    monkeypatch.setattr(graph, "_COUNT_BLOCK", block)
+    law, theta = dist.parse_dist(spec), 1.0
+    for n in _sizes_around(block):
+        w = law.sample(make_stream(n), n + 2)
+        g = graph.GraphSample.from_weights(w[:n], theta)
+        assert graph.all_degrees(g).tolist() == _unblocked_degrees(g).tolist()
+        assert graph.count_triangles(g) == _unblocked_triangles(g)
+        assert graph.count_local_triangles(g, w[n]) == _unblocked_local_triangles(g, w[n])
+        pool = w[:n]
+        assert graph.tagged_pair_degrees(law, n, theta, make_stream(n)) == (
+            int(np.count_nonzero(pool + w[n] > theta)),
+            int(np.count_nonzero(pool + w[n + 1] > theta)), bool(w[n] + w[n + 1] > theta))
+
+
+@pytest.mark.parametrize("block", [7, 1000, None])
+@pytest.mark.parametrize("spec", _BLOCK_SPECS)
+def test_degree_replicate_streams_the_whole_array_draw(monkeypatch, block, spec):
+    # the blocks it draws are the whole-array draw, bit for bit, and the stream
+    # ends where that draw leaves it, the buffered 32-bit half included
+    if block is not None:
+        monkeypatch.setattr(dist, "_SAMPLE_BLOCK", block)
+    law, theta = dist.parse_dist(spec), 1.0
+    sample = dist.WeightDistribution.sample
+    blocks = []
+
+    def recording(self, stream, size=None):
+        draw = sample(self, stream, size)
+        blocks.append(draw.copy())
+        return draw
+
+    for n in _sizes_around(dist._SAMPLE_BLOCK):
+        stream, reference = make_stream(n), make_stream(n)
+        for s in (stream, reference):
+            s.integers(2**32, dtype=np.uint32)
+        monkeypatch.setattr(dist.WeightDistribution, "sample", recording)
+        got = graph._degree_experiment({"dist": spec, "n": n, "theta": theta}, [stream] * 3)
+        monkeypatch.setattr(dist.WeightDistribution, "sample", sample)
+        draws = [law.sample(reference, n) for _ in range(3)]
+        assert np.concatenate(blocks).tobytes() == np.concatenate(draws).tobytes()
+        assert got == [int(np.count_nonzero(w[1:] + w[0] > theta)) / n for w in draws]
+        assert stream.bit_generator.state == reference.bit_generator.state
+        blocks.clear()
+
+
+def _peak_bytes(call):
+    """Peak bytes that ``call()`` allocates, after one call that warms it up."""
+    call()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_degree_replicate_holds_one_block():
+    params = {"dist": "uniform:0,1", "n": 10**6, "theta": 1.0}
+    assert _peak_bytes(lambda: graph._degree_experiment(params, [make_stream(4)])) < 2**20
+
+
+@pytest.mark.parametrize("experiment", ["local", "pair"])
+@pytest.mark.parametrize("spec", ["exp:1", "twopoint:0.2,0.5,0.9"])
+def test_replicate_holds_its_weights_and_one_block(experiment, spec):
+    n = 500_000
+    run = {"local": graph._local_triangle_experiment, "pair": graph._pair_experiment}[experiment]
+    params = {"dist": spec, "n": n, "theta": 1.0}
+    assert _peak_bytes(lambda: run(params, [make_stream(4)])) < 8 * (n + 2) + 2**20

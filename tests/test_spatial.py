@@ -455,6 +455,18 @@ def test_saturated_uniform_rate_is_the_whole_ball(x0):
     assert rates.tolist() == [spatial.origin_degree_rate(CFG, UNI, 0.5), 9 * math.pi, 0.0]
 
 
+@pytest.mark.parametrize("x0, share", [(0.5, 1.0), (-5e307, 0.5), (-1e308, 0.0)])
+def test_wide_uniform_rate(x0, share):
+    # under uniform:0,1e308, x0 + X reaches the whole ball where it is above
+    # theta * r**beta = 9, a share of the law that rounds to 1, 1/2 or 0; the
+    # antiderivatives z * psi of the closed form overflow near z = 1e308
+    wide = dist.uniform(0.0, 1e308)
+    rate = spatial.origin_degree_rate(CFG, wide, x0)
+    assert rate == pytest.approx(share * 9 * math.pi, rel=1e-12, abs=1e-300)
+    assert spatial.origin_degree_rate(CFG, wide, np.array([x0, 0.25])).tolist() == [
+        rate, spatial.origin_degree_rate(CFG, wide, 0.25)]
+
+
 def test_tiny_theta_reaches_the_whole_ball():
     # z / theta overflows at theta = 1e-320 and clips to r**beta
     cfg = spatial.SpatialConfig(d=2, beta=2.0, theta=1e-320, lam=1.0, r=3.0)

@@ -295,6 +295,40 @@ def test_chi_square_starvation():
         stats.chi_square_gof([10, 10], [0.6, 0.5])  # probs sum > 1
 
 
+def _end_cells_merged(observed, probs):
+    """The cells after only the end cells fold inward, until each is fed."""
+    obs, prb, n = [float(o) for o in observed], list(probs), math.fsum(observed)
+    while len(obs) > 1 and n * prb[-1] < 5.0:
+        obs[-2:], prb[-2:] = [obs[-2] + obs[-1]], [prb[-2] + prb[-1]]
+    while len(obs) > 1 and n * prb[0] < 5.0:
+        obs[:2], prb[:2] = [obs[1] + obs[0]], [prb[1] + prb[0]]
+    return obs, [n * p for p in prb]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(1, 60), st.integers(0, 15)), min_size=2, max_size=12))
+def test_chi_square_inner_merge_keeps_every_fed_result(cells):
+    # where the end merge alone feeds every cell, the inner merge changes nothing
+    weights, observed = zip(*cells)
+    probs = [w / sum(weights) for w in weights]
+    obs, expected = _end_cells_merged(observed, probs)
+    if len(obs) < 2 or min(expected) < 5.0:
+        return
+    stat = math.fsum((o - e) ** 2 / e for o, e in zip(obs, expected))
+    dof = len(obs) - 1
+    assert stats.chi_square_gof(observed, probs) == (
+        stat, dof, stats._gamma_upper_reg(dof / 2.0, stat / 2.0))
+
+
+def test_chi_square_folds_a_starved_cell_beside_a_merged_tail():
+    # the top tail merges to 5 and leaves 4 beside it; that cell joins the tail
+    counts, probs = [30, 40, 21, 4, 3, 2], [0.3, 0.4, 0.21, 0.04, 0.03, 0.02]
+    assert _end_cells_merged(counts, probs)[1][-2:] == pytest.approx([4, 5])
+    for observed, cells in ((counts, probs), (counts[::-1], probs[::-1])):
+        stat, dof, p = stats.chi_square_gof(observed, cells)
+        assert dof == 3 and stat == pytest.approx(0.0, abs=1e-12)
+
+
 def test_chi_square_type_one_error_rate():
     rej = 0
     probs = [1 / 6] * 6
