@@ -247,8 +247,7 @@ def _cmd_triangles(cfg: dict) -> None:
     dist = _parse(parse_dist, cfg["dist"])
     n = check_count(cfg["n"], 3, "the triangle density")
     theta = cfg["theta"]
-    t_count = graph.count_triangles(
-        graph.sample_graph(dist, n, theta, stats.make_stream(cfg["seed"])))
+    t_count = graph.sample_triangle_count(dist, n, theta, stats.make_stream(cfg["seed"]))
     payload = {
         "experiment": "triangles",
         "config": {"dist": cfg["dist"], "theta": theta, "n": n},
@@ -366,7 +365,11 @@ def _poisson_gof(samples: np.ndarray, rate: float):
 
 
 def _cmd_clt_check(cfg: dict) -> None:
-    report, _ = _replicates(cfg, "clt", "d", "beta", "lam", "r", "Cr")
+    keys = ("d", "beta", "lam", "r", "Cr")
+    _require(cfg, "dist", "theta", *keys, "R")
+    if not cfg["Cr"] > 0.0:  # the library's own message names no flag
+        raise DomainError(f"centering Cr = {cfg['Cr']!r} must be > 0")
+    report, _ = _replicates(cfg, "clt", *keys)
     _ks(report, "ks_vs_standard_normal", stats.normal_cdf)
     _write_report(cfg, report.to_dict(), report.samples, report.columns)
 

@@ -14,16 +14,28 @@ Counting identities used below, with weights sorted ascending
 
 * degree of a vertex of weight x: ``D = n - first(x) - [x + x > theta]``,
   the correction removing the self pairing;
-* triangles: a triple is a triangle iff its two smallest weights already sum
-  above theta, so ``T = sum over b of max(0, b - first(w[b])) * (n - 1 - b)``
-  (the light partners a of b, times the third vertex after ``b``);
-* local triangles of a tagged vertex of weight x: its neighbours are the
-  suffix ``w[first(x):]``, and its triangles are the pair count
-  ``sum over b of max(0, b - first(w[b]))`` taken over that suffix.
+* a weight w is heavy iff ``w + w > theta`` (the float self pairing; theta / 2
+  rounds for subnormal theta, so it is only where the search for the cut
+  starts), else light.  Float
+  sums round monotonically, so any two heavies are adjacent and no two
+  lights are: the heavies H are a clique, the lights an independent set, and
+  a triangle has at most one light vertex.  With ``d_H(l)`` the number of
+  heavies adjacent to a light l, the triangles are
+  ``T = C(|H|, 3) + sum over lights l of C(d_H(l), 2)``;
+* local triangles of a tagged vertex of weight x: ``C(d_H(x), 2)`` if x is
+  light; if x is heavy, ``C(|H|, 2)`` plus ``d_H(l)`` summed over the lights
+  l adjacent to x (a suffix of the lights);
+* ``d_H`` from the least weight m: a "top" heavy with ``h + m > theta`` is
+  adjacent to every light, so ``d_H(l) = |top| + |mid| - first_mid(l)``
+  over the ascending "mid" heavies alone (``h + m <= theta``).  A sampled
+  triangle count (:func:`sample_triangle_count`) holds only those, replaying
+  its draw block by block from the stream's saved state, and ends the
+  stream where one whole-array draw would.
 
 Every counter walks its positions in blocks of ``_COUNT_BLOCK``, so besides
 the weights (and the n degrees that :func:`all_degrees` returns) it holds one
-block of temporaries whatever n is.  The ``degree`` experiment does not even
+block of temporaries whatever n is; each sum of ``C(d_H, 2)`` is taken in
+chunks that cannot wrap int64.  The ``degree`` experiment does not even
 hold its weights: it draws them one block of ``dist._SAMPLE_BLOCK`` at a time,
 aligned as a whole-array draw, counts each block against the first weight and
 drops it, so its samples and the stream's end state equal those of one draw.
@@ -86,9 +98,10 @@ def sample_graph(
 def all_degrees(g: GraphSample) -> np.ndarray:
     """Degree of every vertex, in the order of ``g.weights``, O(n log n)."""
     w, degrees = g.weights, np.empty(g.n, dtype=np.int64)
-    for s, first in _first_adjacent_blocks(w, g.theta):
-        q = w[s:s + first.size]
-        np.subtract(g.n - first, q + q > g.theta, out=degrees[s:s + first.size])
+    for s in range(0, g.n, _COUNT_BLOCK):
+        q = w[s:s + _COUNT_BLOCK]
+        np.subtract(g.n - _first_adjacent(w, g.theta, q), q + q > g.theta,
+                    out=degrees[s:s + q.size])
     return degrees
 
 
@@ -96,6 +109,7 @@ def edge_count(g: GraphSample) -> int:
     return int(all_degrees(g).sum(dtype=np.int64)) // 2
 
 
+@np.errstate(over="ignore")
 def _first_adjacent(sw: np.ndarray, theta: float, q: np.ndarray) -> np.ndarray:
     """For each query weight x of ``q``, the first position p of the
     ascending weights ``sw`` with ``sw[p] + x > theta``.
@@ -106,6 +120,8 @@ def _first_adjacent(sw: np.ndarray, theta: float, q: np.ndarray) -> np.ndarray:
     """
     n = sw.size
     first = np.searchsorted(sw, theta - q, side="right")
+    if not n:
+        return first
     below = np.empty_like(first)
     pair_sum = np.empty_like(q)  # buffers reused to keep the peak memory low
     while True:
@@ -130,51 +146,105 @@ def _count_adjacent(w: np.ndarray, x, theta: float) -> int:
                for s in range(0, w.size, _COUNT_BLOCK))
 
 
-def _first_adjacent_blocks(sw: np.ndarray, theta: float):
-    """``(s, first)`` for each block of ``_COUNT_BLOCK`` positions of the
-    ascending weights ``sw`` from position s: ``first`` holds
-    :func:`_first_adjacent` of the block's own weights."""
-    for s in range(0, sw.size, _COUNT_BLOCK):
-        yield s, _first_adjacent(sw, theta, sw[s:s + _COUNT_BLOCK])
+def _first_heavy(sw: np.ndarray, theta: float) -> int:
+    """The number of light weights, those with ``w + w <= theta``: the first
+    heavy position of the ascending weights ``sw``, by bisection."""
+    lo, hi = 0, sw.size
+    while lo < hi:
+        mid = (lo + hi) // 2
+        x = float(sw[mid])  # a float sum beyond the floats is inf, with no warning
+        lo, hi = (lo, mid) if x + x > theta else (mid + 1, hi)
+    return lo
 
 
-@np.errstate(over="ignore")
-def count_triangles(g: GraphSample) -> int:
-    """Number of unordered triangles, O(n log n).
+def _heavy_degrees(mid: np.ndarray, top: int, theta: float, lights: np.ndarray) -> np.ndarray:
+    """d_H of each weight of ``lights``: the ``top`` heavies adjacent to every
+    light, plus the heavies of the ascending ``mid`` adjacent to it."""
+    return top + mid.size - _first_adjacent(mid, theta, lights)
 
-    For each sorted position b, every position a < b with
-    ``w[a] + w[b] > theta`` closes a triangle with each of the ``n - 1 - b``
-    heavier vertices, because the pair (a, b) is then the light pair of the
-    triple.
-    """
-    n = g.n
-    # each term is below n**2, so a chunk of 2**63 // n**2 terms cannot wrap
-    step = max(1, 2**63 // (n * n))
-    total = 0
-    for s, terms in _first_adjacent_blocks(g.weights, g.theta):
-        b = np.arange(s, s + terms.size, dtype=np.int64)
-        np.subtract(b, terms, out=terms)  # light partners of each b, in place
-        np.maximum(terms, 0, out=terms)
-        terms *= np.subtract(n - 1, b, out=b)
-        total += sum(int(terms[i:i + step].sum()) for i in range(0, terms.size, step))
+
+def _triangles(mid: np.ndarray, top: int, theta: float, light_blocks) -> int:
+    """``C(|H|, 3)`` plus ``C(d_H, 2)`` over the lights, given block by block;
+    each term is below ``|H|**2 / 2``, so a chunk of ``2**63 // |H|**2`` terms
+    cannot wrap int64."""
+    heavies = top + mid.size
+    step = max(1, 2**63 // (heavies * heavies + 1))
+    total = math.comb(heavies, 3)
+    for lights in light_blocks:
+        d = _heavy_degrees(mid, top, theta, lights)
+        d *= d - 1
+        d //= 2
+        total += sum(int(d[i:i + step].sum()) for i in range(0, d.size, step))
     return total
 
 
-@np.errstate(over="ignore")
+def count_triangles(g: GraphSample) -> int:
+    """Number of unordered triangles, O(n log n), by the light/heavy identity."""
+    w, theta = g.weights, g.theta
+    light = _first_heavy(w, theta)
+    heavy = w[light:]
+    # the heavies not adjacent to the least weight w[0], a light one
+    mid = heavy[:int(_first_adjacent(heavy, theta, w[:1])[0])] if light else heavy
+    return _triangles(mid, heavy.size - mid.size, theta,
+                      (w[s:min(s + _COUNT_BLOCK, light)] for s in range(0, light, _COUNT_BLOCK)))
+
+
 def count_local_triangles(g: GraphSample, x: float) -> int:
     """Triangles through a tagged vertex of weight ``x`` joined to ``g``: the
-    adjacent pairs among its neighbours, counted off their sorted weights
-    like ``count_triangles``."""
+    adjacent pairs among its neighbours, by the light/heavy identity."""
     x = float(x)
     if not math.isfinite(x):
         raise DomainError(f"tagged weight must be finite, got {x}")
-    w = g.weights
-    nb = w[int(_first_adjacent(w, g.theta, np.array([x]))[0]):]
-    total = 0
-    for s, pairs in _first_adjacent_blocks(nb, g.theta):
-        np.subtract(np.arange(s, s + pairs.size), pairs, out=pairs)  # lighter partners
-        total += int(pairs[pairs > 0].sum())
-    return total
+    w, theta = g.weights, g.theta
+    light = _first_heavy(w, theta)
+    heavy = w[light:]
+    if not x + x > theta:  # a light tag: its neighbours are heavies, a clique
+        return math.comb(int(_heavy_degrees(heavy, 0, theta, np.array([x]))[0]), 2)
+    lights = w[int(_first_adjacent(w[:light], theta, np.array([x]))[0]):light]
+    return math.comb(heavy.size, 2) + sum(
+        int(_heavy_degrees(heavy, 0, theta, lights[s:s + _COUNT_BLOCK]).sum())
+        for s in range(0, lights.size, _COUNT_BLOCK))
+
+
+@np.errstate(over="ignore")
+def sample_triangle_count(
+    dist: WeightDistribution, n: int, theta: float, stream: np.random.Generator
+) -> int:
+    """Triangles of ``sample_graph(dist, n, theta, stream)``, holding only the
+    mid heavies and one block of the draw.
+
+    The draw is replayed one ``dist._SAMPLE_BLOCK`` at a time from the
+    stream's saved state: one pass finds the least weight m, one counts the
+    top heavies and the mid ones, one fills an array of exactly the mid
+    heavies, sorted in place, and the last pass counts each block's lights.
+    The last two sort each block in place, so its lights and its mid heavies
+    are runs.  The stream ends where one whole-array draw of n leaves it.
+    """
+    n, theta = check_count(n, 1, "a graph"), float(theta)
+    state = stream.bit_generator.state
+
+    def blocks(ordered=False):  # the draw from the saved state, one block at a time
+        stream.bit_generator.state = state
+        for start in range(0, n, _dist._SAMPLE_BLOCK):
+            b = dist.sample(stream, min(_dist._SAMPLE_BLOCK, n - start))
+            if ordered:  # sorted in place: the lights lead, then the mid heavies
+                b.sort()
+            yield b
+
+    least = min(float(b.min()) for b in blocks())
+    if least + least > theta:  # no lights: the heavies are a clique
+        return math.comb(n, 3)
+    top = heavies = 0
+    for b in blocks():
+        top += int(np.count_nonzero(b + least > theta))
+        heavies += int(np.count_nonzero(b + b > theta))
+    mid, filled = np.empty(heavies - top), 0
+    for b in blocks(ordered=True):
+        b = b[_first_heavy(b, theta):int(_first_adjacent(b, theta, np.array([least]))[0])]
+        mid[filled:filled + b.size] = b
+        filled += b.size
+    mid.sort()
+    return _triangles(mid, top, theta, (b[:_first_heavy(b, theta)] for b in blocks(ordered=True)))
 
 
 def tagged_pair_degrees(
@@ -236,7 +306,7 @@ def _triangle_experiment(params: dict, streams) -> list:
     dist = parse_dist(params["dist"])
     n = check_count(params["n"], 3, "the triangle density")
     theta = float(params["theta"])
-    return [count_triangles(sample_graph(dist, n, theta, stream)) / math.comb(n, 3)
+    return [sample_triangle_count(dist, n, theta, stream) / math.comb(n, 3)
             for stream in streams]
 
 

@@ -199,8 +199,9 @@ def _symmetrized_rows(motif: Motif, first: np.ndarray, rest: np.ndarray,
     acc = np.zeros(rows.shape[0], dtype=np.int64)
     for perm in itertools.permutations(range(k)):
         ok = np.ones(rows.shape[0], dtype=bool)
-        for s, t in motif.edges:
-            ok &= rows[:, perm[s - 1]] + rows[:, perm[t - 1]] > theta
+        with np.errstate(over="ignore"):  # a sum beyond the floats is inf, above theta
+            for s, t in motif.edges:
+                ok &= rows[:, perm[s - 1]] + rows[:, perm[t - 1]] > theta
         acc += ok
     return acc / math.factorial(k)
 

@@ -142,7 +142,8 @@ def _radial_intensity_rows(
     pareto(c, alpha), psi grows like v**-g in the tail level v, g = d / (beta alpha)
     < 1, so the rows run in v**(1 - g).  A value beyond the floats is inf or NaN,
     silently: NaN exponential rows go to quadrature, which refuses a node that is not
-    finite, and the origin-degree rate refuses NaN."""
+    finite, a uniform row is NaN where its antiderivatives leave the floats, and the
+    origin-degree rate refuses NaN."""
     if dist.kind == "uniform":
         a, b = dist.params
 
@@ -150,13 +151,15 @@ def _radial_intensity_rows(
             upper, lower = (_psi(x + e, d, beta, theta, r, True, width) for e in (b, a))
             return upper - lower
 
+        # where z * psi overflowed, the rows are formed from antiderivatives over the width;
+        # a row whose antiderivatives leave the floats even so is NaN, not a clipped 0 or inf
+        values = rows(xs) / (b - a)
+        wide = ~np.isfinite(values)
+        values[wide] = rows(xs[wide], b - a)
+        values[~np.isfinite(values)] = np.nan
         # psi grows with z: where both ends agree, the row is that value (z * psi may overflow)
         top, bottom = (_psi(xs + e, d, beta, theta, r) for e in (b, a))
-        values = np.where(top == bottom, top, np.maximum(rows(xs) / (b - a), 0.0))
-        # where z * psi overflowed, the rows are formed from antiderivatives over the width
-        wide = ~np.isfinite(values)
-        values[wide] = np.maximum(rows(xs[wide], b - a), 0.0)
-        return values
+        return np.where(top == bottom, top, np.maximum(values, 0.0))
     values = np.full(xs.size, np.nan)
     if dist.kind == "exponential" and theta > 0.0 and beta > 0.0 and (d / beta).is_integer():
         values = _exponential_rows(d, beta, theta, dist.params[0], xs, r)
@@ -257,14 +260,19 @@ def _poisson(stream: np.random.Generator, mu: float) -> int:
 
 def origin_degree_rate(cfg: SpatialConfig, dist: WeightDistribution, x):
     """Poisson parameter of the origin degree given the origin weight ``x``,
-    a float or an array (see :func:`radial_intensity`); inf beyond the floats,
-    NumericError where it is NaN."""
+    a float or an array (see :func:`radial_intensity`); inf beyond the floats.
+    A NaN rate is a NumericError at a NaN weight, else a CapacityError: only
+    the uniform closed form gives NaN at a finite weight, where its
+    antiderivatives leave the floats."""
     intensity = radial_intensity(cfg, dist, x)
     with np.errstate(over="ignore"):
         rate = cfg.lam * sphere_surface(cfg.d) * intensity
     nan = np.isnan(rate)
     if nan.any():  # named by the first origin weight with a NaN rate
-        raise NumericError(f"the origin-degree rate at x0 = {np.asarray(x)[nan][0]:g} is NaN")
+        x0 = np.asarray(x)[nan][0]
+        if np.isnan(x0):
+            raise NumericError("the origin-degree rate at x0 = nan is NaN")
+        raise CapacityError(f"the origin-degree rate at x0 = {x0:g} needs values beyond the floats")
     return rate
 
 

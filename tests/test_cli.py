@@ -691,12 +691,17 @@ _CR = ["clt-check", "--dist", "uniform:0,1", "--theta", "1", "--d", "2", "--beta
     (["limits", "--table", "h1", "--grid", str(10**20)], 2, "grid <= 100000000"),
     (_CR + ["--lambda", "1e-10", "--Cr", "1e-320"], 2, "at Cr = 1e-320"),
     (_CR + ["--lambda", "1", "--Cr", "1e308"], 2, "at Cr = 1e+308"),
+    (_CR + ["--lambda", "1", "--Cr", "0"], 2, "centering Cr = 0.0 must be > 0"),
+    (_CR + ["--lambda", "1", "--Cr", "-1"], 2, "centering Cr = -1.0 must be > 0"),
+    (_MIXTURE + ["--d", "1", "--beta", "1", "--lambda", "1", "--r", "inf",
+                 "--dist", "uniform:0,1e308", "--R", "50", "--seed", "3"], 2,
+     "rate at x0 = 9.98786e+307 needs values beyond the floats"),
     (_MIXTURE + ["--d", "1", "--beta", "1", "--lambda", "1", "--r", "inf",
                  "--dist", "pareto:1,1.01"], 2, "pareto:1.0,1.01 quantile"),
     (["degree", "--n", "50", "--R", "3", "--dist", "uniform:-1e308,1e308"], 1, "uniform"),
     (["degree", "--n", "50", "--R", "3", "--dist", "exp:1e-320"], 1, "exponential"),
-], ids=["local-grid", "limit-cdf-grid", "h1-grid", "Cr-underflow", "Cr-overflow",
-        "pareto-quantile", "uniform-width", "exp-reciprocal"])
+], ids=["local-grid", "limit-cdf-grid", "h1-grid", "Cr-underflow", "Cr-overflow", "Cr-zero",
+        "Cr-negative", "wide-rate-at-r-inf", "pareto-quantile", "uniform-width", "exp-reciprocal"])
 def test_extreme_inputs_name_their_reason(tmp_path, capsys, args, code, named):
     # a later flag wins, so args may set their own law
     argv = [args[0], "--dist", "uniform:0,1", "--theta", "1", *args[1:]]

@@ -4,9 +4,12 @@ parity against a dense-adjacency oracle."""
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threshnet import dist, graph
 from threshnet.errors import CapacityError, DomainError
@@ -16,7 +19,8 @@ from law_ids import law_id
 
 def _adjacency(w, theta):
     w = np.asarray(w, dtype=float)
-    a = w[:, None] + w[None, :] > theta
+    with np.errstate(over="ignore"):  # a sum beyond the floats is inf, above theta
+        a = w[:, None] + w[None, :] > theta
     np.fill_diagonal(a, False)
     return a
 
@@ -326,11 +330,12 @@ def test_tagged_pair_degrees():
     (10**9, CapacityError, r"^a graph needs n <= 100000000, got n = 1000000000$"),
 ])
 def test_sample_graph_checks_n_before_any_draw(n, error, message):
-    stream = make_stream(5)
-    state = stream.bit_generator.state
-    with pytest.raises(error, match=message):
-        graph.sample_graph(dist.uniform(0, 1), n, 1.0, stream)
-    assert stream.bit_generator.state == state
+    for sample in (graph.sample_graph, graph.sample_triangle_count):
+        stream = make_stream(5)
+        state = stream.bit_generator.state
+        with pytest.raises(error, match=message):
+            sample(dist.uniform(0, 1), n, 1.0, stream)
+        assert stream.bit_generator.state == state
 
 
 # ---------------------------------------------------------------------------
@@ -433,3 +438,88 @@ def test_replicate_holds_its_weights_and_one_block(experiment, spec):
     run = {"local": graph._local_triangle_experiment, "pair": graph._pair_experiment}[experiment]
     params = {"dist": spec, "n": n, "theta": 1.0}
     assert _peak_bytes(lambda: run(params, [make_stream(4)])) < 8 * (n + 2) + 2**20
+
+
+# ---------------------------------------------------------------------------
+# the light/heavy identity against the dense oracle
+
+# (law, theta): all four kinds, ties at w + w == theta, no lights, no heavies,
+# an empty mid, negative theta, subnormal theta and sums beyond the floats
+_LIGHT_HEAVY_CASES = [
+    ("uniform:0,1", 1.0),
+    ("uniform:-1,1", -0.5),  # negative theta
+    ("uniform:0,1e308", 1e308),  # sums beyond the floats are inf, above theta
+    ("uniform:0,1", 3.0),  # no heavies
+    ("exp:1", 1.0),
+    ("exp:2", 0.3),
+    ("pareto:1,3", 2.5),
+    ("pareto:1,3", 1.0),  # no lights
+    ("twopoint:0.2,0.5,0.9", 1.0),  # an empty mid: 0.9 + 0.2 > 1
+    ("twopoint:0.5,0.5,0.9", 1.0),  # ties: 0.5 + 0.5 == 1 is light
+    ("discrete:0.1:0.3,0.5:0.3,0.9:0.4", 1.0),  # ties; 0.1 + 0.9 == 1 is no edge
+    ("point:0.5", 1.0),  # every pair ties at theta
+    ("discrete:-1e308:0.5,1e308:0.5", 1e308),  # theta - m overflows
+    ("discrete:-1e308:0.5,1.5e308:0.5", -1e308),  # x + m rounds to m for small x
+    # subnormal theta: theta / 2 rounds up to 1e-323, which is heavy
+    ("discrete:0:0.25,5e-324:0.25,1e-323:0.25,2e-323:0.25", 1.5e-323),
+]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(_LIGHT_HEAVY_CASES), st.integers(1, 60), st.integers(0, 2**32 - 1),
+       st.sampled_from([1, 3, 7, 2**14]))
+def test_light_heavy_counts_equal_the_dense_oracle(case, n, seed, block):
+    spec, theta = case
+    law = dist.parse_dist(spec)
+    w = law.sample(make_stream(seed), n)
+    with mock.patch.object(dist, "_SAMPLE_BLOCK", block), \
+            mock.patch.object(graph, "_COUNT_BLOCK", block):
+        triangles = _oracle_triangles(w, theta)
+        assert graph.count_triangles(graph.GraphSample.from_weights(w, theta)) == triangles
+        assert graph.sample_triangle_count(law, n, theta, make_stream(seed)) == triangles
+        for i in sorted({0, n // 2, n - 1}) if n > 1 else ():
+            assert graph.count_local_triangles(*_tagged(w, theta, i)) == \
+                _oracle_local_triangles(w, theta, i)
+
+
+def test_heavy_split_is_the_self_pairing_not_half_theta():
+    # theta = 3 * 5e-324: theta / 2 rounds to 1e-323, yet 1e-323 + 1e-323 > theta,
+    # so the four weights above 5e-324 are a heavy clique (a split at theta / 2
+    # would leave only 2e-323 heavy and count no triangle)
+    theta, heavy = 1.5e-323, 1e-323
+    assert theta / 2 == heavy and heavy + heavy > theta
+    g = graph.GraphSample.from_weights([heavy] * 3 + [5e-324, 2e-323], theta)
+    assert graph._first_heavy(g.weights, theta) == 1
+    assert graph.count_triangles(g) == _oracle_triangles(g.weights, theta) == math.comb(4, 3)
+
+
+@pytest.mark.parametrize("spec, theta", [
+    ("exp:1", 1.0), ("pareto:1,3", 2.5), ("pareto:1,3", 1.0), ("twopoint:0.2,0.5,0.9", 1.0),
+    ("uniform:0,1", 3.0)], ids=["exp", "pareto", "no-lights", "empty-mid", "no-heavies"])
+def test_sampled_triangle_count_leaves_the_stream_of_one_draw(monkeypatch, spec, theta):
+    # every replay pass and the early return of a graph without lights end
+    # where one whole-array draw does, the buffered 32-bit half included
+    law = dist.parse_dist(spec)
+    for block in (7, None):
+        if block is not None:
+            monkeypatch.setattr(dist, "_SAMPLE_BLOCK", block)
+        for n in _sizes_around(dist._SAMPLE_BLOCK):
+            stream, reference = make_stream(n), make_stream(n)
+            for s in (stream, reference):
+                s.integers(2**32, dtype=np.uint32)
+            graph.sample_triangle_count(law, n, theta, stream)
+            law.sample(reference, n)
+            assert stream.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("spec", ["exp:1", "twopoint:0.2,0.5,0.9"])
+def test_sampled_triangle_count_holds_the_mid_heavies_and_one_block(spec):
+    # mid heavies: w + w > 1 and w + least <= 1, 24% of n under exp:1 and none
+    # under twopoint, whose heavy 0.9 is adjacent to the light 0.2
+    n, law = 10**6, dist.parse_dist(spec)
+    w = law.sample(make_stream(4), n)
+    mid = int(np.count_nonzero((w + w > 1.0) & (w + w.min() <= 1.0)))
+    del w
+    assert (mid == 0) == (spec != "exp:1")
+    peak = _peak_bytes(lambda: graph.sample_triangle_count(law, n, 1.0, make_stream(4)))
+    assert peak < 8 * mid + 2**20

@@ -232,6 +232,18 @@ def test_kernel_variance_degenerate_cases():
         motifs.motif_kernel_variance_mc(dist.uniform(0, 1), TRI, 1.0, 1, make_stream(3))
 
 
+@pytest.mark.parametrize("estimator", [motifs.motif_probability_mc,
+                                       motifs.motif_kernel_variance_mc])
+def test_estimators_take_sums_beyond_the_floats_as_inf(estimator):
+    # under uniform:0,1e308 at theta = 1e308 a weight sum leaves the floats in
+    # about one pair of six; inf is above theta, with no overflow warning (the
+    # suite raises warnings as errors), and the graphs are those of
+    # uniform:0,1 at theta = 1 but for rounding at the threshold
+    wide, _ = estimator(dist.uniform(0.0, 1e308), TRI, 1e308, 2000, make_stream(9))
+    unit, _ = estimator(dist.uniform(0.0, 1.0), TRI, 1.0, 2000, make_stream(9))
+    assert math.isfinite(wide) and wide == pytest.approx(unit, abs=1e-3)
+
+
 @pytest.mark.parametrize("estimator, count, error, message", [
     (motifs.motif_probability_mc, 0, DomainError, r"needs samples >= 1, got samples = 0$"),
     (motifs.motif_probability_mc, 10**20, CapacityError, r"needs samples <= 100000000"),

@@ -2,6 +2,7 @@
 mixture law, and the standardized-degree pipeline."""
 
 import math
+import re
 import tracemalloc
 
 import mpmath
@@ -438,6 +439,19 @@ def test_heavy_tail_quantile_overflow_names_the_law():
     cfg = spatial.SpatialConfig(d=1, beta=1.0, theta=1.0, lam=1.0, r=math.inf)
     with pytest.raises(NumericError, match=r"^pareto:1\.0,1\.01 quantile"):
         spatial.radial_intensity(cfg, dist.pareto(1.0, 1.01), 1.0)
+
+
+@pytest.mark.parametrize("d, beta, x0", [(1, 1.0, 9.98786e307), (2, 2.0, 5e307)])
+def test_wide_uniform_rate_beyond_the_floats_is_a_capacity_error(d, beta, x0):
+    # at r = inf the antiderivatives z * psi of the closed form leave the floats
+    # even over the width: they gave NaN at d = 1 and a silent 0 at d = 2
+    cfg = spatial.SpatialConfig(d=d, beta=beta, theta=1.0, lam=1.0, r=math.inf)
+    wide = dist.uniform(0.0, 1e308)
+    message = f"the origin-degree rate at x0 = {x0:g} needs values beyond the floats"
+    with pytest.raises(CapacityError, match=f"^{re.escape(message)}$"):
+        spatial.origin_degree_rate(cfg, wide, np.array([1.0, x0]))
+    assert spatial.origin_degree_rate(cfg, wide, 1e306) == pytest.approx(
+        spatial.sphere_surface(d) * spatial.radial_intensity(cfg, wide, 1e306), rel=1e-15)
 
 
 @pytest.mark.parametrize("x0", [math.nan, np.array([0.5, math.nan])])
