@@ -17,10 +17,10 @@ The pareto kind has CDF ``1 - scale_c * x**(-alpha)`` on its support.
 :func:`two_point` and :func:`point_mass` build ``discrete`` laws of two atoms
 and of one.
 
-Sampling is the inverse transform of ``stream.random``.  An array draw is
-transformed in place by the same formulas as the quantile, one block of
-``_SAMPLE_BLOCK`` values at a time, so the returned array is the only one of the
-draw's size; a scalar draw is a Python float.
+Sampling is the inverse transform of ``stream.random``, applied in place by the
+quantile's formulas one block of ``_SAMPLE_BLOCK`` values at a time, so an array
+draw is the only array of its size; a scalar draw is a Python float.
+:meth:`WeightDistribution.blocks` yields a draw block by block, bit for bit.
 
 Expectations against the law run in the tail level ``v = sf(x)``: for a
 continuous law :func:`expect_rows`, the one partial expectation
@@ -57,7 +57,7 @@ from .errors import DomainError, NumericError
 # Probability tolerance for validating discrete weights.
 _PROB_TOL = 1e-12
 
-# Values (128 KB of float64) per block of every array draw in dist, motifs and spatial.
+# Values (128 KB of float64) per block of every array draw and of every ``blocks`` walk.
 _SAMPLE_BLOCK = 2**14
 
 
@@ -202,6 +202,15 @@ class WeightDistribution:
             block = flat[start:start + _SAMPLE_BLOCK]
             self._ppf(block, out=block)
         return u
+
+    def blocks(self, stream: np.random.Generator, size):
+        """Yield ``sample(stream, size)``, ``size`` n or ``(n, k)``, in blocks of at
+        most ``_SAMPLE_BLOCK`` values and at least one row, each from :meth:`sample`
+        and the whole draw's slice bit for bit; the stream ends where it would."""
+        n, *row = np.atleast_1d(size).tolist()
+        rows = max(1, _SAMPLE_BLOCK // math.prod(row))
+        for start in range(0, n, rows):
+            yield self.sample(stream, (min(rows, n - start), *row))
 
     # -- misc --------------------------------------------------------------
 

@@ -28,17 +28,14 @@ Counting identities used below, with weights sorted ascending
 * ``d_H`` from the least weight m: a "top" heavy with ``h + m > theta`` is
   adjacent to every light, so ``d_H(l) = |top| + |mid| - first_mid(l)``
   over the ascending "mid" heavies alone (``h + m <= theta``).  A sampled
-  triangle count (:func:`sample_triangle_count`) holds only those, replaying
-  its draw block by block from the stream's saved state, and ends the
-  stream where one whole-array draw would.
+  triangle count (:func:`sample_triangle_count`) holds only those.
 
 Every counter walks its positions in blocks of ``_COUNT_BLOCK``, so besides
 the weights (and the n degrees that :func:`all_degrees` returns) it holds one
 block of temporaries whatever n is; each sum of ``C(d_H, 2)`` is taken in
-chunks that cannot wrap int64.  The ``degree`` experiment does not even
-hold its weights: it draws them one block of ``dist._SAMPLE_BLOCK`` at a time,
-aligned as a whole-array draw, counts each block against the first weight and
-drops it, so its samples and the stream's end state equal those of one draw.
+chunks that cannot wrap int64.  The sampled triangle count and the ``degree``
+experiment walk their draws through :meth:`WeightDistribution.blocks`, so they
+hold one block of it and end the stream where one whole-array draw would.
 A weight sum beyond the floats is inf, which still compares above theta, so
 the counters form their sums with numpy's overflow warning off.
 """
@@ -50,7 +47,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dist as _dist
 from .dist import WeightDistribution, parse_dist
 from .errors import DomainError, check_count
 from .stats import register_experiment
@@ -213,22 +209,22 @@ def sample_triangle_count(
     """Triangles of ``sample_graph(dist, n, theta, stream)``, holding only the
     mid heavies and one block of the draw.
 
-    The draw is replayed one ``dist._SAMPLE_BLOCK`` at a time from the
-    stream's saved state: one pass finds the least weight m, one counts the
-    top heavies and the mid ones, one fills an array of exactly the mid
-    heavies, sorted in place, and the last pass counts each block's lights.
-    The last two sort each block in place, so its lights and its mid heavies
-    are runs.  The stream ends where one whole-array draw of n leaves it.
+    The draw's blocks are replayed from the stream's saved state: one pass
+    finds the least weight m, one counts the top heavies and the mid ones,
+    one fills an array of exactly the mid heavies, and the last counts each
+    block's lights; the last two sort each block in place first.  The stream
+    ends where one whole-array draw of n leaves it.
     """
     n, theta = check_count(n, 1, "a graph"), float(theta)
     state = stream.bit_generator.state
 
-    def blocks(ordered=False):  # the draw from the saved state, one block at a time
+    def blocks():  # the draw replayed from the saved state
         stream.bit_generator.state = state
-        for start in range(0, n, _dist._SAMPLE_BLOCK):
-            b = dist.sample(stream, min(_dist._SAMPLE_BLOCK, n - start))
-            if ordered:  # sorted in place: the lights lead, then the mid heavies
-                b.sort()
+        return dist.blocks(stream, n)
+
+    def sorted_blocks():  # sorted in place: the lights lead, then the mid heavies
+        for b in blocks():
+            b.sort()
             yield b
 
     least = min(float(b.min()) for b in blocks())
@@ -239,12 +235,12 @@ def sample_triangle_count(
         top += int(np.count_nonzero(b + least > theta))
         heavies += int(np.count_nonzero(b + b > theta))
     mid, filled = np.empty(heavies - top), 0
-    for b in blocks(ordered=True):
+    for b in sorted_blocks():
         b = b[_first_heavy(b, theta):int(_first_adjacent(b, theta, np.array([least]))[0])]
         mid[filled:filled + b.size] = b
         filled += b.size
     mid.sort()
-    return _triangles(mid, top, theta, (b[:_first_heavy(b, theta)] for b in blocks(ordered=True)))
+    return _triangles(mid, top, theta, (b[:_first_heavy(b, theta)] for b in sorted_blocks()))
 
 
 def tagged_pair_degrees(
@@ -275,11 +271,9 @@ def _degree_experiment(params: dict, streams) -> list:
     theta = float(params["theta"])
 
     def fraction(stream):
-        # blocks aligned as one draw of n; the tagged weight is the first
-        # block's own value (pareto's scalar quantile rounds differently)
+        # the tag is the first block's own value (pareto's scalar quantile rounds differently)
         count, x = 0, None
-        for start in range(0, n, _dist._SAMPLE_BLOCK):
-            block = dist.sample(stream, min(_dist._SAMPLE_BLOCK, n - start))
+        for block in dist.blocks(stream, n):
             if x is None:
                 x, block = block[0], block[1:]
             count += _count_adjacent(block, x, theta)

@@ -29,7 +29,6 @@ from operator import itemgetter
 
 import numpy as np
 
-from . import dist as _dist
 from .dist import WeightDistribution
 from .errors import CapacityError, DomainError, check_count
 from .graph import GraphSample
@@ -172,22 +171,17 @@ def motif_probability_mc(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of P(k fresh weights realize the motif).
 
-    Returns (estimate, binomial standard error).  The tuples are drawn one
-    block of ``_SAMPLE_BLOCK // k`` rows at a time; the stream fills a draw
-    row by row, so the estimate does not depend on the block size.
+    Returns (estimate, binomial standard error) of the ``samples`` rows of k
+    weights that :meth:`WeightDistribution.blocks` draws.
     """
     samples = check_count(samples, 1, "the motif probability estimate", "samples")
     hits = 0
-    remaining = samples
-    while remaining > 0:
-        b = min(_dist._SAMPLE_BLOCK // motif.k, remaining)
-        x = dist.sample(stream, (b, motif.k))
-        ok = np.ones(b, dtype=bool)
+    for x in dist.blocks(stream, (samples, motif.k)):
+        ok = np.ones(x.shape[0], dtype=bool)
         with np.errstate(over="ignore"):  # a sum beyond the floats is inf, above theta
             for s, t in motif.edges:
                 ok &= x[:, s - 1] + x[:, t - 1] > theta
         hits += int(np.count_nonzero(ok))
-        remaining -= b
     p = hits / samples
     return p, math.sqrt(p * (1.0 - p) / samples)
 

@@ -20,8 +20,8 @@ draws U into the cutoffs ``theta * (r * U**(1/d))**beta``, taken as
 ``theta * r**beta * U**(beta/d)``, and its weight draws into their sums with
 the origin weight, in place.  The stream holds the cutoff uniforms, then the
 weight uniforms: a second cursor, advanced past the cutoffs, reads the weights
-beside them one block of ``dist._SAMPLE_BLOCK`` points at a time, so a replicate
-holds two blocks whatever its point count, and the stream ends where it would.
+by :meth:`WeightDistribution.blocks`, each cutoff block as long as its weight
+block, so a replicate holds two blocks, and the stream ends where it would.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from itertools import islice
 
 import numpy as np
 
-from . import dist as _dist
 from .dist import WeightDistribution, expect_rows, expectation, parse_dist
 from .errors import COUNT_CAP, CapacityError, DomainError, NumericError, RegimeError
 from .stats import register_experiment
@@ -209,14 +208,12 @@ def sample_origin_degree_direct(
     weights.bit_generator.state = state
     weights.bit_generator.advance(count)
     scale, degree = cfg.theta * cfg.r**cfg.beta, 0
-    for start in range(0, count, _dist._SAMPLE_BLOCK):
-        size = min(_dist._SAMPLE_BLOCK, count - start)
+    for sums in dist.blocks(weights, count):
         # cutoffs theta * (r * U**(1/d))**beta in one power, and weight sums, in place
-        cutoff = stream.random(size)
+        cutoff = stream.random(sums.size)
         if cfg.beta != cfg.d:
             cutoff **= cfg.beta / cfg.d
         cutoff *= scale
-        sums = dist.sample(weights, size)
         with np.errstate(over="ignore"):  # a sum beyond the floats is inf, above a finite cutoff
             sums += origin_weight
         degree += int(np.count_nonzero(sums > cutoff))
@@ -324,8 +321,11 @@ def standardized_origin_degree(
     scale = cfg.lam * sphere_surface(cfg.d) * centering
     if not 0.0 < scale < math.inf:
         raise NumericError(f"lam c_d Cr = {scale!r} at Cr = {centering!r} is not a positive float")
-    delta = sample_origin_degree_mixture(cfg, dist, None, streams)
-    return (delta - scale) / math.sqrt(scale)
+    out = (sample_origin_degree_mixture(cfg, dist, None, streams) - scale) / math.sqrt(scale)
+    with np.errstate(over="ignore"):  # a tiny scale spreads them beyond the floats
+        if np.isinf(np.square(out - out.mean()).sum()):
+            raise NumericError(f"the standardized variance at Cr = {centering!r} overflows")
+    return out
 
 
 # ---------------------------------------------------------------------------

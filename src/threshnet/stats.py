@@ -108,7 +108,10 @@ class ReplicateReport:
 def _column_moments(col: np.ndarray) -> tuple[float, float, float]:
     n = col.size
     mean = math.fsum(col) / n
-    var = math.fsum((x - mean) ** 2 for x in col) / (n - 1) if n > 1 else 0.0
+    try:
+        var = math.fsum((x - mean) ** 2 for x in col) / (n - 1) if n > 1 else 0.0
+    except OverflowError:  # finite squares whose sum leaves the floats
+        var = math.inf
     return mean, var, math.sqrt(var / n)
 
 

@@ -299,9 +299,10 @@ _CLT = ["clt-check", "--d", "2", "--beta", "2", "--theta", "1", "--dist", "unifo
     (_MIXTURE + ["--lambda", "1e300", "--r", "3"], "Poisson rate 2.34016e+300"),
     (_MIXTURE + ["--lambda", "1e300", "--r", "3", "--x0", "0.5"], "Poisson rate 3.14159e+300"),
     (_CLT + ["--lambda", "1e300", "--r", "3", "--Cr", "1"], "Poisson rate 2.34016e+300"),
-    (_CLT + ["--lambda", "1", "--r", "3", "--Cr", "1e-320"], "sample variance is not finite"),
+    (_CLT + ["--lambda", "1", "--r", "3", "--Cr", "1e-320"], "variance at Cr = 1e-320 overflows"),
+    (_CLT + ["--lambda", "1", "--r", "3", "--Cr", "5e-310"], "variance at Cr = 5e-310 overflows"),
 ], ids=["r-psi", "r-exponential", "r-ball-volume", "r-clt", "r-negative-beta",
-        "r-pareto", "rate", "rate-x0", "rate-clt", "variance"])
+        "r-pareto", "rate", "rate-x0", "rate-clt", "variance", "variance-squares"])
 def test_numbers_beyond_the_floats_exit_code(tmp_path, capsys, args, named):
     # a radius whose powers leave the floats, a Poisson rate numpy cannot
     # draw, a sample moment that overflows: each is named, and nothing is written

@@ -140,6 +140,30 @@ def test_sampling_matches_the_out_of_place_transform_bit_for_bit(law, size):
         assert x.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("block", [1, 7, None], ids=["block-1", "block-7", "block-default"])
+@pytest.mark.parametrize("law", SAMPLED_LAWS, ids=law_call_id)
+def test_blocks_are_the_whole_array_draw_bit_for_bit(monkeypatch, law, block):
+    # n and rows of 4 on both sides of one and two block boundaries: the blocks
+    # are cut at whole rows and concatenate to the whole-array draw, and the
+    # stream ends where that draw leaves it, the buffered 32-bit half included
+    if block is not None:
+        monkeypatch.setattr(dist, "_SAMPLE_BLOCK", block)
+    for k in (1, 4):
+        rows = max(1, dist._SAMPLE_BLOCK // k)
+        for n in sorted({1, 2, rows - 1, rows, rows + 1, 2 * rows - 1, 2 * rows,
+                         2 * rows + 1} - {0}):
+            size = n if k == 1 else (n, k)
+            stream, reference = make_stream(n), make_stream(n)
+            for s in (stream, reference):
+                s.integers(2**32, dtype=np.uint32)
+            blocks = list(law.blocks(stream, size))
+            whole = law.sample(reference, size)
+            assert [b.shape[0] for b in blocks] == [min(rows, n - s) for s in range(0, n, rows)]
+            assert np.concatenate(blocks).shape == whole.shape
+            assert np.concatenate(blocks).tobytes() == whole.tobytes()
+            assert stream.bit_generator.state == reference.bit_generator.state
+
+
 @pytest.mark.parametrize("law", SAMPLED_LAWS, ids=law_call_id)
 def test_ppf_leaves_its_input_unchanged(law):
     u = np.linspace(0.0, 0.999, 101)

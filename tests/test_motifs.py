@@ -214,13 +214,15 @@ def test_probability_mc():
 
 
 def test_motif_mc_estimate_does_not_depend_on_the_block(monkeypatch):
-    # 7 values a block draw one 4-tuple at a time, 1000 draw 250
+    # 7 values a block draw one 4-tuple at a time, 1000 draw 250, and 3, fewer
+    # than one tuple, still draw one at a time, as the default block's estimate
+    default = dist._SAMPLE_BLOCK
     for law in (dist.exponential(1.0), dist.two_point(0.2, 0.5, 0.9)):
         estimates = []
-        for block in (7, 1000):
+        for block in (7, 1000, 3, default):
             monkeypatch.setattr(dist, "_SAMPLE_BLOCK", block)
             estimates.append(motifs.motif_probability_mc(law, C4, 1.0, 2503, make_stream(6)))
-        assert estimates[0] == estimates[1]
+        assert estimates[0] == estimates[1] == estimates[2] == estimates[3]
 
 
 def test_kernel_variance_degenerate_cases():

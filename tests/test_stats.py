@@ -405,6 +405,15 @@ def test_replicate_count_is_checked_before_any_stream(monkeypatch, replicates, e
     assert made == []
 
 
+def test_squared_deviations_beyond_the_floats_are_an_infinite_variance(monkeypatch):
+    # each squared deviation is a float, their sum is not: math.fsum raises
+    # OverflowError there, and the campaign refuses the variance by name
+    spread = lambda params, streams: [1e154 * (-1) ** i for i, _ in enumerate(streams)]
+    monkeypatch.setitem(stats._EXPERIMENTS, "spread", (spread, None))
+    with pytest.raises(NumericError, match=r"^the sample variance is not finite: inf$"):
+        stats.run_replicates("spread", {}, 7, 0)
+
+
 @pytest.mark.parametrize("lam, centering", [(1e-10, 1e-320), (1.0, 1e308)])
 def test_clt_scale_beyond_the_floats_names_cr_before_any_stream(monkeypatch, lam, centering):
     # lam * c_d * Cr underflows to 0 or overflows to inf
