@@ -34,13 +34,14 @@ One integrator does all the quadrature: :func:`quad_checked`, composite
 caller's breakpoints and are refined by halving, every level in one call of
 the integrand.  Given arrays of bounds it integrates all rows in one batch,
 each row exactly as a call of its own.  :func:`expect_rows` runs it on one
-row per range; :func:`expectation` runs :func:`expect_rows` on two seed
+row per range, in batches of at most ``_ROWS_PER_BATCH`` rows, so no caller
+bounds its rows; :func:`expectation` runs :func:`expect_rows` on two seed
 partitions in one batch and certifies the value by their agreement.
 
 Every integrand is elementwise: it maps an array of points to an array of
 values (a constant is broadcast), and its value at a point must not depend
-on the other points of the array.  :func:`expectation` calls ``g`` on 1-D
-arrays of at most 168 quadrature nodes, or once on all atoms of a discrete
+on the other points of the array.  :func:`expectation` calls ``g`` on the
+1-D node array of each quadrature level, or once on all atoms of a discrete
 law.  Only numpy is needed at run time, and the 21-node rule is written out,
 so ``numpy.polynomial`` is never imported.
 """
@@ -305,10 +306,10 @@ def parse_dist(spec: str) -> WeightDistribution:
 # expectations
 
 
-def _values_at(g, xs, what: str):
-    """``g`` on the node array ``xs`` in one call, broadcast to its shape and
-    checked finite."""
-    vals = np.broadcast_to(np.asarray(g(xs), dtype=float), xs.shape)
+def _values_at(g, xs, args, what: str):
+    """``g(xs, *args)`` on the node array ``xs`` in one call, broadcast to its
+    shape and checked finite."""
+    vals = np.broadcast_to(np.asarray(g(xs, *args), dtype=float), xs.shape)
     bad = ~np.isfinite(vals)
     if bad.any():
         raise NumericError(f"integrand not finite at {what}={xs[bad][0]}")
@@ -322,17 +323,12 @@ def expectation(dist: WeightDistribution, g) -> float:
     Continuous kinds run each seed partition, k equal cells of the tail
     level cut at the weights ``isf(j/k)``, as two :func:`expect_rows` rows
     split at ``isf((k//2)/k)``; the 8- and 7-cell passes share a batch.
-    ``g`` is elementwise: it maps a 1-D array of weights (at most
-    ``_NODES_PER_CALL`` nodes, or all atoms of a discrete law) to an array
-    of values of the same shape, or to a constant, and must be finite
-    wherever the law has mass.
+    ``g`` is elementwise: it maps a 1-D array of weights (one quadrature
+    level's nodes, or all atoms of a discrete law) to an array of values of
+    the same shape, or to a constant, and must be finite where the law has mass.
     """
     if dist.is_discrete:
         return expect_rows(dist, g, -math.inf, math.inf)
-
-    def chunked(xs):
-        return np.concatenate([_values_at(g, xs[i:i + _NODES_PER_CALL], "x")
-                               for i in range(0, xs.size, _NODES_PER_CALL)])
 
     def passes(seed_counts):
         # rows (middle edge, inf] and (-inf, middle edge] of each partition
@@ -341,7 +337,7 @@ def expectation(dist: WeightDistribution, g) -> float:
         for i, k in enumerate(seed_counts):
             edges[2 * i:2 * i + 2, :k - 1] = dist._isf(np.arange(1, k) / k)
             lo[2 * i] = hi[2 * i + 1] = edges[2 * i, k // 2 - 1]
-        values = expect_rows(dist, chunked, lo, hi, points=edges)
+        values = expect_rows(dist, g, lo, hi, points=edges)
         return (values[0::2] + values[1::2]).tolist()
 
     # Two passes over incommensurate seed partitions.  A jump of g can hide
@@ -362,57 +358,65 @@ def expectation(dist: WeightDistribution, g) -> float:
     raise NumericError("quadrature passes disagree; integrand too irregular")
 
 
+# Rows in one batch of expect_rows: its atom-sum matrix and its quadrature's node
+# arrays grow with a batch, so a call of any number of rows holds one at a time.
+_ROWS_PER_BATCH = 256
+
+
 def expect_rows(dist: WeightDistribution, g, lo, hi, *, points=None, args=(),
                 tail_power: float = 1.0):
     """E[g(X, *args); lo < X <= hi] for each row of the ranges.
 
     ``lo``, ``hi`` (either may be infinite) and the arrays in ``args``
     broadcast to m rows; ``g`` is elementwise, called with each weight's row
-    arguments.  Atom laws sum the atoms in each range with ``math.fsum``.
-    Continuous laws run one :func:`quad_checked` batch in the tail level
-    ``v = sf(x)`` over [sf(hi), sf(lo)], nodes mapped through the upper-tail
-    quantile, cut at ``sf(points)`` (weights, 1-D or (m, p) padded with NaN);
-    with ``tail_power`` p the rows run in ``v**(1/p)`` instead, which smooths
-    a singularity of g like ``v**(1/p - 1)`` at v = 0.  Raises NumericError,
-    naming the atom or node, where ``g`` is not finite (for a continuous law
-    after the law).  Returns a float for scalar inputs, else an array.
+    arguments.  The rows run in batches of at most ``_ROWS_PER_BATCH``, each
+    row exactly as a call of its own.  Atom laws sum the atoms in each range
+    with ``math.fsum``.  Continuous laws run a :func:`quad_checked` batch in
+    the tail level ``v = sf(x)`` over [sf(hi), sf(lo)], nodes mapped through
+    the upper-tail quantile, cut at ``sf(points)`` (weights, 1-D or (m, p)
+    padded with NaN); with ``tail_power`` p the rows run in ``v**(1/p)``
+    instead, which smooths a singularity of g like ``v**(1/p - 1)`` at v = 0.
+    Raises NumericError, naming the atom or weight x, where ``g`` is not
+    finite (for a continuous law after the law).  Returns a float for scalar
+    inputs, else an array.
     """
     lo, hi, *extra = np.broadcast_arrays(np.asarray(lo, dtype=float),
                                          np.asarray(hi, dtype=float), *args)
     shape = lo.shape
     lo, hi, *extra = (np.ravel(a) for a in (lo, hi, *extra))
-    if dist.is_discrete:
-        xs, ps = (np.array(column) for column in zip(*dist.atoms()))
-        rows, cols = np.nonzero((xs > lo[:, None]) & (xs <= hi[:, None]))
-        terms = np.zeros((lo.size, xs.size))
-        terms[rows, cols] = ps[cols] * _values_at(
-            lambda w: g(w, *(a[rows] for a in extra)), xs[cols], "atom x")
-        values = np.array([math.fsum(row) for row in terms.tolist()])
-    else:
-        power = float(tail_power)
+    power = float(tail_power)
 
-        def integrand(t, *row_args):
-            x = dist._isf(v := t**power)
-            if np.isinf(x).any():  # the least level has the largest quantile
-                raise NumericError(f"quantile at tail level {float(v.min())!r} overflows a float")
-            return power * t ** (power - 1.0) * g(x, *row_args)
+    def integrand(t, *row_args):
+        x = dist._isf(v := t**power)
+        if np.isinf(x).any():  # the least level has the largest quantile
+            raise NumericError(f"quantile at tail level {float(v.min())!r} overflows a float")
+        return power * t ** (power - 1.0) * _values_at(g, x, row_args, "x")
 
-        def level(x):  # sf(x) ** (1/p), the row variable at weight x
-            return dist.sf(np.asarray(x, dtype=float)) ** (1.0 / power)
+    def level(x):  # sf(x) ** (1/p), the row variable at weight x
+        return dist.sf(np.asarray(x, dtype=float)) ** (1.0 / power)
 
-        top = level(lo)
+    cuts = None if points is None or dist.is_discrete else level(points)
+    values = np.empty(lo.size)
+    for start in range(0, lo.size, _ROWS_PER_BATCH):
+        batch = slice(start, start + _ROWS_PER_BATCH)
+        low, high, *row_args = (a[batch] for a in (lo, hi, *extra))
+        if dist.is_discrete:
+            xs, ps = (np.array(column) for column in zip(*dist.atoms()))
+            rows, cols = np.nonzero((xs > low[:, None]) & (xs <= high[:, None]))
+            terms = np.zeros((low.size, xs.size))
+            terms[rows, cols] = ps[cols] * _values_at(
+                g, xs[cols], [a[rows] for a in row_args], "atom x")
+            values[batch] = [math.fsum(row) for row in terms.tolist()]
+            continue
+        top = level(low)
         try:
-            values = quad_checked(integrand, np.minimum(level(hi), top), top,
-                                  points=None if points is None else level(points), args=extra)
+            values[batch] = quad_checked(
+                integrand, np.minimum(level(high), top), top, args=row_args,
+                points=cuts[batch] if np.ndim(cuts) == 2 else cuts)
         except NumericError as exc:  # named by the law, once where expectations nest
             law = f"{dist.kind}:{','.join(map(repr, dist.params))}"
             raise (exc if str(exc).startswith(law) else NumericError(f"{law} {exc}")) from None
     return float(values[0]) if not shape else values.reshape(shape)
-
-
-# Nodes in one call of an expectation's integrand.  It bounds the memory of
-# integrands that run a batched quadrature per node.
-_NODES_PER_CALL = 168
 
 
 # The 21-point Gauss-Legendre rule on [-1, 1], as numpy.polynomial's

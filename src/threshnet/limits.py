@@ -13,8 +13,9 @@ E[g(X); lo < X <= hi], for the inner ones of the triangle and correlation
 oracles.  Neither oracle tells atom laws from continuous ones: both
 primitives sum atoms exactly and integrate continuous laws in quantile
 space, so bounded and heavy-tailed supports share one code path.
-Integrands are elementwise, so an expectation evaluates many quadrature
-nodes at once, and the inner integrals of those nodes run as one batch
+Integrands are elementwise, so an expectation evaluates a whole quadrature
+level at once, and the inner integrals of its nodes are the rows of one
+:func:`~threshnet.dist.expect_rows` call, which bounds its own batches
 (:func:`conditional_triangle_probability` takes any array of weights).
 Tails are survival functions ``sf`` throughout, never ``1 - cdf``.  The
 limiting degree CDF of a continuous law is closed form.

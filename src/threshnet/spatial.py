@@ -37,8 +37,8 @@ from .dist import WeightDistribution, expect_rows, expectation, parse_dist
 from .errors import COUNT_CAP, CapacityError, DomainError, NumericError, RegimeError
 from .stats import register_experiment
 
-# Streams per batch of the mixture sampler.  A law without a closed form takes one
-# quadrature row per stream, about 7 KB of node arrays, so 1.75 MB a block at most.
+# Streams per batch of the mixture sampler.  A block holds its streams' generators,
+# about 1 KB each (1e5 held at once take 96 MB); expect_rows bounds its own rows.
 _STREAMS_PER_BATCH = 256
 
 

@@ -430,6 +430,31 @@ def test_clt_check_command(tmp_path):
     assert report["gof"]["stat"] < 0.1
 
 
+_ATOMS_400 = "discrete:" + ",".join(f"{(i + 0.5) / 400}:0.0025" for i in range(400))
+
+
+@pytest.mark.parametrize("law, grid", [("exp:1", 200_000), (_ATOMS_400, 50_000)],
+                         ids=["exp", "400-atoms"])
+def test_h1_table_peak_memory_stays_bounded_at_a_large_grid(tmp_path, law, grid):
+    # every grid weight is a row of one expect_rows call, which runs its rows in
+    # bounded batches; with the whole grid in one batch these peak at 543 and
+    # 956 MB.  The child reads its own peak, VmHWM, the high-water mark of the
+    # memory its exec made: RUSAGE_CHILDREN keeps the largest of every earlier
+    # child, and the child's RUSAGE_SELF starts at this process's peak, which
+    # the exec carries over.
+    src = str(Path(threshnet.__file__).resolve().parents[1])
+    code = ("import sys; from threshnet import cli; status = cli.main(sys.argv[1:]); "
+            "print(status, *[line.split()[1] for line in open('/proc/self/status') "
+            "if line.startswith('VmHWM:')])")
+    child = subprocess.run(
+        [sys.executable, "-c", code, "limits", "--table", "h1", "--dist", law, "--theta", "1",
+         "--grid", str(grid), "--out", str(tmp_path / "h1.csv")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+        timeout=120)
+    status, peak_kb = child.stdout.split()
+    assert status == "0" and int(peak_kb) / 1024 < 150
+
+
 def test_import_does_not_load_scipy():
     # numpy is the only runtime dependency
     src = str(Path(threshnet.__file__).resolve().parents[1])

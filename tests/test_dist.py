@@ -355,9 +355,11 @@ def test_expectation_calls_g_on_node_arrays():
 
     dist.expectation(dist.uniform(0, 1), g)
     cells = sum(shape[0] for shape in shapes) // 21
-    assert all(len(shape) == 1 and 0 < shape[0] <= 168 and shape[0] % 21 == 0
-               for shape in shapes)
+    assert all(len(shape) == 1 and shape[0] % 21 == 0 for shape in shapes)
     assert len(shapes) < cells
+    # whole levels, unchunked: the 15 seed panels of the 8- and 7-cell passes,
+    # then their 30 halves
+    assert shapes[:2] == [(15 * 21,), (30 * 21,)]
     shapes.clear()
     law = dist.finite_discrete([(0.1, 0.25), (0.5, 0.5), (1.1, 0.25)])
     assert dist.expectation(law, g) == pytest.approx(0.55, abs=1e-15)
@@ -584,6 +586,39 @@ def test_expect_rows_batch_equals_scalar_calls(law):
     assert batch.tolist() == rows
 
 
+@pytest.mark.parametrize("law", [dist.exponential(1.0), dist.pareto(1.0, 2.5),
+                                 *ATOM_LAWS], ids=law_id)
+def test_expect_rows_more_rows_than_a_batch(law, monkeypatch):
+    # the rows run in consecutive bounded batches, each row still bit for bit
+    # a call of its own
+    m = dist._ROWS_PER_BATCH + 45
+    shift = np.arange(m) * 1e-3
+    lo = np.resize([-math.inf, 0.0, 0.3, 1.0, 2.0, 0.5], m) + shift
+    hi = np.resize([math.inf, 1.0, 4.0, math.inf, 1.0, 0.9], m) + shift
+    c = np.resize([0.1, 0.7, 1.2, 2.5, 0.0, 3.0], m) + shift
+    points = np.stack([c, c + 1.0], axis=1)
+    quad, quad_rows, g_sizes = dist.quad_checked, [], []
+
+    def spy(f, lo, hi, **kwargs):
+        quad_rows.append(np.size(lo))
+        return quad(f, lo, hi, **kwargs)
+
+    def g(x, c):
+        g_sizes.append(x.size)
+        return np.sqrt(np.abs(x - c)) + x
+
+    monkeypatch.setattr(dist, "quad_checked", spy)
+    batch = dist.expect_rows(law, g, lo, hi, points=points, args=(c,))
+    if law.is_discrete:  # one call of g a batch, on at most all atoms of every row
+        assert quad_rows == [] and len(g_sizes) == 2
+        assert max(g_sizes) <= dist._ROWS_PER_BATCH * len(law.atoms())
+    else:
+        assert quad_rows == [dist._ROWS_PER_BATCH, 45]
+    rows = [dist.expect_rows(law, g, lo[i], hi[i], points=points[i], args=(c[i],))
+            for i in range(m)]
+    assert batch.tolist() == rows
+
+
 def test_expect_rows_nonfinite_integrand():
     law = dist.finite_discrete([(0.1, 0.25), (0.5, 0.5), (1.1, 0.25)])
     with pytest.raises(NumericError, match="atom x=0.5"):
@@ -591,9 +626,11 @@ def test_expect_rows_nonfinite_integrand():
     # an atom outside the range is never evaluated
     assert dist.expect_rows(law, lambda x: 1.0 / (x - 0.5), 0.6, 2.0) == pytest.approx(
         0.25 / 0.6, rel=1e-15)
-    with pytest.raises(NumericError, match="not finite"):
+    # a continuous row names the law and the weight x, not a tail level
+    with pytest.raises(NumericError, match=r"^exponential:1\.0 integrand not finite at x=") as err:
         dist.expect_rows(dist.exponential(1.0), lambda x: np.where(x > 2.0, np.nan, x),
                          1.0, math.inf)
+    assert float(str(err.value).rpartition("=")[2]) > 2.0
 
 
 # ---------------------------------------------------------------------------

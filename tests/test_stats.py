@@ -3,6 +3,7 @@ scipy as the independent oracle for the special functions."""
 
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -260,6 +261,14 @@ def test_kolmogorov_sf():
     assert stats.kolmogorov_sf(1.3581) == pytest.approx(0.05, abs=1e-3)
 
 
+def test_kolmogorov_sf_against_scipy():
+    # below t = 0.02 the 100-term series alone gives 0.3965 at t = 0.005
+    ts = np.concatenate([np.geomspace(1e-4, 3.0, 400), np.linspace(1e-4, 3.0, 400)])
+    ours = np.array([stats.kolmogorov_sf(float(t)) for t in ts])
+    assert np.max(np.abs(ours - scipy.stats.kstwobign.sf(ts))) < 1e-14
+    assert stats.kolmogorov_sf(0.005) == stats.kolmogorov_sf(0.01) == 1.0
+
+
 # ---------------------------------------------------------------------------
 # chi-square
 
@@ -327,6 +336,64 @@ def test_chi_square_folds_a_starved_cell_beside_a_merged_tail():
     for observed, cells in ((counts, probs), (counts[::-1], probs[::-1])):
         stat, dof, p = stats.chi_square_gof(observed, cells)
         assert dof == 3 and stat == pytest.approx(0.0, abs=1e-12)
+
+
+def _chi_square_by_lists(observed, probs):
+    """The chi-square fold as list deletions, cell by cell in the same order:
+    the reference for the fold's arithmetic, quadratic where the low tail is long."""
+    obs, prb = [float(o) for o in observed], [float(p) for p in probs]
+    n = math.fsum(obs)
+
+    def fold(into, cell):
+        obs[into] += obs[cell]
+        prb[into] += prb[cell]
+        del obs[cell], prb[cell]
+
+    for into, cell, least in ((-2, -1, 1), (1, 0, 1), (-1, -2, 2), (0, 1, 2)):
+        while len(obs) > least and n * prb[cell] < 5.0:
+            fold(into, cell)
+    expected = [n * p for p in prb]
+    if min(expected) < 5.0 or len(obs) < 2:
+        return None
+    stat = math.fsum((o - e) ** 2 / e for o, e in zip(obs, expected))
+    dof = len(obs) - 1
+    return stat, dof, stats._gamma_upper_reg(dof / 2.0, stat / 2.0)
+
+
+def _chi_square_or_none(observed, probs):
+    try:
+        return stats.chi_square_gof(observed, probs)
+    except DomainError:
+        return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(1, 60), st.integers(0, 15)), min_size=2, max_size=40))
+def test_chi_square_fold_matches_list_deletions(cells):
+    weights, observed = zip(*cells)
+    probs = [w / sum(weights) for w in weights]
+    assert _chi_square_or_none(observed, probs) == _chi_square_by_lists(observed, probs)
+
+
+def _long_low_tail(cells):
+    """``cells`` starved cells of mass 1e-12 below ten fed ones, counts 0 and
+    100 each: the low end folds through the whole tail."""
+    fed = (1.0 - cells * 1e-12) / 10
+    return [0] * cells + [100] * 10, [1e-12] * cells + [fed] * 10
+
+
+def test_chi_square_folds_a_long_tail_in_linear_time():
+    observed, probs = _long_low_tail(20_000)
+    assert stats.chi_square_gof(observed, probs) == _chi_square_by_lists(observed, probs)
+    observed, probs = _long_low_tail(300_000)  # list deletions take tens of seconds here
+    start = time.perf_counter()
+    stat, dof, p = stats.chi_square_gof(observed, probs)
+    assert time.perf_counter() - start < 1.0
+    # the tail's mass 3e-7 joins the lowest fed cell
+    fed = (1.0 - 3e-7) / 10
+    expected = [1000 * (fed + 3e-7)] + [1000 * fed] * 9
+    assert dof == 9 and stat == pytest.approx(
+        math.fsum((100 - e) ** 2 / e for e in expected), rel=1e-6)
 
 
 def test_chi_square_type_one_error_rate():
