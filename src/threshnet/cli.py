@@ -356,11 +356,14 @@ def _cmd_spatial(cfg: dict) -> None:
 
 
 def _poisson_gof(samples: np.ndarray, rate: float):
-    top = int(samples.max())
-    kmax = max(top, stats.poisson_tail_cutoff(rate, 1e-12))
-    probs = [stats.poisson_pmf(rate, k) for k in range(kmax + 1)]
+    # the pmf between the 1e-12 cutoffs lo and hi; the mass below lo and the rest
+    # above hi are pooled into one cell each (at lo = 0 the first is empty, and the
+    # chi-square merges it into its neighbour exactly)
+    (lo, below), hi = stats.poisson_tail(rate, 1e-12, -1), stats.poisson_tail_cutoff(rate, 1e-12)
+    probs = [below] + [stats.poisson_pmf(rate, k) for k in range(lo, hi + 1)]
     probs.append(max(0.0, 1.0 - math.fsum(probs)))
-    observed = np.bincount(samples.astype(int), minlength=kmax + 2).astype(float)
+    cells = np.clip(samples, lo - 1, hi + 1).astype(int) - (lo - 1)
+    observed = np.bincount(cells, minlength=len(probs)).astype(float)
     return stats.chi_square_gof(observed.tolist(), probs)
 
 

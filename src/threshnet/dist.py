@@ -20,7 +20,8 @@ and of one.
 Sampling is the inverse transform of ``stream.random``, applied in place by the
 quantile's formulas one block of ``_SAMPLE_BLOCK`` values at a time, so an array
 draw is the only array of its size; a scalar draw is a Python float.
-:meth:`WeightDistribution.blocks` yields a draw block by block, bit for bit.
+:meth:`WeightDistribution.blocks` yields a draw block by block, bit for bit,
+and :func:`block_rows` gives the row counts of its blocks.
 
 Expectations against the law run in the tail level ``v = sf(x)``: for a
 continuous law :func:`expect_rows`, the one partial expectation
@@ -208,10 +209,9 @@ class WeightDistribution:
         """Yield ``sample(stream, size)``, ``size`` n or ``(n, k)``, in blocks of at
         most ``_SAMPLE_BLOCK`` values and at least one row, each from :meth:`sample`
         and the whole draw's slice bit for bit; the stream ends where it would."""
-        n, *row = np.atleast_1d(size).tolist()
-        rows = max(1, _SAMPLE_BLOCK // math.prod(row))
-        for start in range(0, n, rows):
-            yield self.sample(stream, (min(rows, n - start), *row))
+        row = np.atleast_1d(size).tolist()[1:]
+        for rows in block_rows(size):
+            yield self.sample(stream, (rows, *row))
 
     # -- misc --------------------------------------------------------------
 
@@ -220,6 +220,16 @@ class WeightDistribution:
         if self.kind == "pareto":
             return order < self.params[1]
         return True  # bounded support or exponential tail
+
+
+def block_rows(size):
+    """The row counts of the blocks of :meth:`WeightDistribution.blocks`, for a
+    draw of ``size`` n or ``(n, k)``: at most ``_SAMPLE_BLOCK`` values and at
+    least one row each."""
+    n, *row = np.atleast_1d(size).tolist()
+    rows = max(1, _SAMPLE_BLOCK // math.prod(row))
+    for start in range(0, n, rows):
+        yield min(rows, n - start)
 
 
 # ---------------------------------------------------------------------------

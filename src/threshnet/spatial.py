@@ -20,8 +20,14 @@ draws U into the cutoffs ``theta * (r * U**(1/d))**beta``, taken as
 ``theta * r**beta * U**(beta/d)``, and its weight draws into their sums with
 the origin weight, in place.  The stream holds the cutoff uniforms, then the
 weight uniforms: a second cursor, advanced past the cutoffs, reads the weights
-by :meth:`WeightDistribution.blocks`, each cutoff block as long as its weight
-block, so a replicate holds two blocks, and the stream ends where it would.
+in the blocks of :func:`threshnet.dist.block_rows`, each cutoff block as long
+as its weight block, so a replicate holds two blocks, and the stream ends
+where it would.  No weight sum exceeds ``reach = x0 + sup``, the origin weight
+plus the law's upper support bound (inf for an unbounded law), so a cutoff
+block with no cutoff below ``reach`` connects no point: the cursor is advanced
+past its weights instead of drawing them.  Under uniform:0,1 at theta = 1 and
+beta = d = 2, only points within sqrt(2) of the origin can connect, and most
+blocks of a large ball are skipped.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from itertools import islice
 
 import numpy as np
 
-from .dist import WeightDistribution, expect_rows, expectation, parse_dist
+from .dist import WeightDistribution, block_rows, expect_rows, expectation, parse_dist
 from .errors import COUNT_CAP, CapacityError, DomainError, NumericError, RegimeError
 from .stats import register_experiment
 
@@ -207,13 +213,18 @@ def sample_origin_degree_direct(
     weights = np.random.Generator(type(stream.bit_generator)())  # a cursor past the cutoffs
     weights.bit_generator.state = state
     weights.bit_generator.advance(count)
-    scale, degree = cfg.theta * cfg.r**cfg.beta, 0
-    for sums in dist.blocks(weights, count):
+    # no weight sum exceeds reach, which is inf for an unbounded law
+    reach, scale, degree = origin_weight + dist.support()[1], cfg.theta * cfg.r**cfg.beta, 0
+    for rows in block_rows(count):
         # cutoffs theta * (r * U**(1/d))**beta in one power, and weight sums, in place
-        cutoff = stream.random(sums.size)
+        cutoff = stream.random(rows)
         if cfg.beta != cfg.d:
             cutoff **= cfg.beta / cfg.d
         cutoff *= scale
+        if not (cutoff < reach).any():  # no point of the block connects: skip its weights
+            weights.bit_generator.advance(rows)
+            continue
+        sums = dist.sample(weights, rows)
         with np.errstate(over="ignore"):  # a sum beyond the floats is inf, above a finite cutoff
             sums += origin_weight
         degree += int(np.count_nonzero(sums > cutoff))

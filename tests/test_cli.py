@@ -19,6 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import threshnet
+from threshnet import stats
+from threshnet.errors import DomainError
 from threshnet.cli import build_parser, main
 
 
@@ -468,6 +470,17 @@ def test_import_does_not_load_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_does_not_load_numpy_random():
+    # numpy.random costs about 6 MB of every call's peak; the first stream imports it
+    src = str(Path(threshnet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = "import sys, threshnet.cli; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("args, minimum", [
     (["degree", "--n", "0", "--R", "3"], "n >= 1"),
     (["local", "--n", "0", "--R", "3"], "n >= 2"),
@@ -775,6 +788,51 @@ def test_poisson_verdict_at_every_replicate_count():
         samples = np.random.default_rng(replicates).poisson(rate, replicates).astype(float)
         _, dof, pvalue = threshnet.cli._poisson_gof(samples, rate)
         assert dof >= 1 and 0.0 <= pvalue <= 1.0, replicates
+
+
+def test_poisson_verdict_where_the_mass_at_zero_underflows(tmp_path):
+    # rate pi * 1e6: exp(-rate) is 0, the upper cutoff used to be its cap and the
+    # pmf list summed to 1 + 1.29e-9, which the chi-square check refuses
+    gof = _gof(tmp_path, "spatial --mode mixture --d 2 --beta 2 --theta 1 --lambda 1e6 --r 3 "
+                         "--x0 0.5 --dist uniform:0,1 --R 20 --seed 1")
+    assert gof["name"] == "chi2_vs_poisson" and gof["dof"] >= 1 and gof["pvalue"] > 1e-3
+
+
+def test_poisson_verdict_pools_both_tails():
+    # a sample beyond a 1e-12 cutoff lands in that side's pooled cell, which is
+    # starved and merges into the cells at the cutoff
+    rate = 1000.0
+    (lo, below), hi = stats.poisson_tail(rate, 1e-12, -1), stats.poisson_tail_cutoff(rate, 1e-12)
+    assert 0 < lo < hi and 0.0 < below < 1e-12
+    samples = np.random.default_rng(5).poisson(rate, 2000).astype(float)
+    samples[:2] = [lo, hi]
+    at_the_cutoffs = threshnet.cli._poisson_gof(samples, rate)
+    samples[:2] = [0.0, hi + 50.0]
+    assert threshnet.cli._poisson_gof(samples, rate) == at_the_cutoffs
+
+
+def _listed_poisson_gof(samples, rate):
+    # the verdict as first written: the pmf listed from 0 up to the larger of the
+    # top sample and the cutoff, and the rest in one cell
+    kmax = max(int(samples.max()), stats.poisson_tail_cutoff(rate, 1e-12))
+    probs = [stats.poisson_pmf(rate, k) for k in range(kmax + 1)]
+    probs.append(max(0.0, 1.0 - math.fsum(probs)))
+    observed = np.bincount(samples.astype(int), minlength=kmax + 2).astype(float)
+    return stats.chi_square_gof(observed.tolist(), probs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rate=st.floats(0.01, 60.0), replicates=st.integers(5, 1000), seed=st.integers(0, 2**32))
+def test_pooled_poisson_verdict_equals_the_listed_one(rate, replicates, seed):
+    # where exp(-rate) is a normal float and no sample passes the cutoff
+    samples = np.random.default_rng(seed).poisson(rate, replicates).astype(float)
+    verdicts = []
+    for gof in (threshnet.cli._poisson_gof, _listed_poisson_gof):
+        try:
+            verdicts.append(gof(samples, rate))
+        except DomainError as starved:
+            verdicts.append(str(starved))
+    assert verdicts[0] == verdicts[1]
 
 
 def test_wide_uniform_rate_is_the_whole_ball(tmp_path):

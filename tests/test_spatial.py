@@ -274,6 +274,49 @@ def test_direct_sampler_across_blocks_equals_out_of_place(law, x0, beta, theta):
     _assert_direct_equals_out_of_place(cfg, law, x0, 11)
 
 
+def _direct_whole_draw(cfg, law, x0, stream):
+    # the direct sampler's draw as a whole on a copy of the stream: all cutoffs,
+    # then all weights; the degree, the point count and the copy's end state
+    copy = np.random.Generator(np.random.PCG64())
+    copy.bit_generator.state = stream.bit_generator.state
+    origin = float(x0) if x0 is not None else law.sample(copy)
+    count = int(copy.poisson(cfg.lam * spatial.ball_volume(cfg.d, cfg.r)))
+    cutoffs = copy.random(count) ** (cfg.beta / cfg.d) * (cfg.theta * cfg.r**cfg.beta)
+    degree = int(np.count_nonzero(law.sample(copy, count) + origin > cutoffs))
+    return degree, count, copy.bit_generator.state
+
+
+@pytest.mark.parametrize("x0", [None, 0.5])
+@pytest.mark.parametrize("beta", [2.0, 1.0])
+@pytest.mark.parametrize("law, skips", [(UNI, True), (dist.exponential(1.0), False),
+                                        (dist.two_point(0.2, 0.5, 0.9), True)],
+                         ids=["uniform", "exp", "twopoint"])
+def test_direct_sampler_skips_the_blocks_out_of_reach(monkeypatch, law, skips, beta, x0):
+    # blocks of 64, about 2,800 points in 45 blocks: a bounded law's weights reach
+    # only the points near the origin, so most of its weight blocks are skipped
+    monkeypatch.setattr(dist, "_SAMPLE_BLOCK", 64)
+    drawn, sample = [], dist.WeightDistribution.sample
+
+    def counted(self, stream, size=None):
+        drawn.append(0 if size is None else size)
+        return sample(self, stream, size)
+
+    monkeypatch.setattr(dist.WeightDistribution, "sample", counted)
+    cfg = spatial.SpatialConfig(d=2, beta=beta, theta=1.0, lam=1.0, r=30.0)
+    weights = points = connected = 0
+    for seed in range(6):
+        for fill in (False, True):  # also with a buffered 32-bit half
+            stream = make_stream(seed)
+            if fill:
+                stream.integers(2**32, dtype=np.uint32)
+            degree, count, state = _direct_whole_draw(cfg, law, x0, stream)
+            drawn.clear()
+            assert spatial.sample_origin_degree_direct(cfg, law, x0, stream) == degree
+            assert stream.bit_generator.state == state
+            weights, points, connected = weights + sum(drawn), points + count, connected + degree
+    assert connected > 0 and (0 < weights < points / 2 if skips else weights == points)
+
+
 def test_direct_sampler_holds_two_blocks():
     # about 1.1e6 points: the cutoffs and the weight sums, one block of each
     cfg = spatial.SpatialConfig(d=2, beta=2.0, theta=1.0, lam=1.0, r=592.0)

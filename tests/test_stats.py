@@ -4,12 +4,14 @@ scipy as the independent oracle for the special functions."""
 import math
 import re
 import time
+from itertools import islice
 
 import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
-from hypothesis import given, settings
+import mpmath
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from threshnet import dist, graph, spatial, stats
@@ -23,6 +25,30 @@ def test_substream_seed_is_stable():
     assert stats.substream_seed(0, 0) != stats.substream_seed(1, 0)
     seeds = {stats.substream_seed(12345, i) for i in range(10000)}
     assert len(seeds) == 10000
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+       start=st.integers(0, 3 * stats._SEED_BATCH), width=st.integers(1, 40))
+@example(seed=0, start=0, width=1)
+@example(seed=2**32 - 1, start=stats._SEED_BATCH - 3, width=6)
+@example(seed=2**32, start=2 * stats._SEED_BATCH - 1, width=2)
+@example(seed=2**64 - 1, start=stats._SEED_BATCH - 20, width=40)
+def test_campaign_streams_are_make_stream_bit_for_bit(seed, start, width):
+    # streams start .. start + width - 1 of a campaign, seeded a batch at a time
+    streams = islice(stats._streams(seed, start + width), start, None)
+    for i, stream in enumerate(streams, start):
+        assert stream.bit_generator.state == stats.make_stream(seed, i).bit_generator.state
+
+
+def test_campaign_streams_are_seeded_a_batch_at_a_time(monkeypatch):
+    batches = []
+    seed_words = stats._seed_words
+    monkeypatch.setattr(stats, "_seed_words", lambda seeds: batches.append(seeds.size)
+                        or seed_words(seeds))
+    rep = stats.run_replicates("pair", {"dist": "uniform:0,1", "theta": 1.0, "n": 5},
+                               2 * stats._SEED_BATCH + 1, 3)
+    assert batches == [stats._SEED_BATCH, stats._SEED_BATCH, 1] and rep.replicates == 513
 
 
 def test_run_replicates_determinism():
@@ -151,7 +177,7 @@ def test_experiments_parse_the_law_once_per_campaign(monkeypatch, experiment, pa
 
 def test_clt_rejects_zero_centering_before_any_stream(monkeypatch):
     made = []
-    monkeypatch.setattr(stats, "make_stream", lambda *a: made.append(a))
+    monkeypatch.setattr(stats, "_seed_words", lambda *a: made.append(a))
     params = dict(_SPACE, dist="uniform:0,1", r=3.0, Cr=0.0)
     with pytest.raises(DomainError, match=r"^centering must be > 0$"):
         stats.run_replicates("clt", params, 7, 0)
@@ -459,13 +485,64 @@ def test_poisson_pmf():
         stats.poisson_pmf(-1.0, 0)
 
 
+def _forward_tail_cutoff(mean, eps):
+    # the cutoff as first written: a forward sum from exp(-mean), exact while
+    # exp(-mean) is a normal float
+    k, term = 0, math.exp(-mean)
+    cum, cap = term, int(mean + 20.0 * math.sqrt(mean) + 200.0)
+    while cum < 1.0 - eps and k < cap:
+        k += 1
+        term *= mean / k
+        cum += term
+    return k
+
+
+def test_poisson_tail_cutoff_keeps_the_forward_sum_where_it_was_exact():
+    tenths = [j / 10 for j in range(1, 401)]
+    assert [stats.poisson_tail_cutoff(m, 1e-12) for m in tenths] == \
+        [_forward_tail_cutoff(m, 1e-12) for m in tenths]
+    assert stats.poisson_tail_cutoff(math.pi, 1e-12) == 22
+
+
+@pytest.mark.parametrize("eps", [1e-10, 1e-12])
+@pytest.mark.parametrize("mean", [0.3, math.pi, 40.0, 745.0, 800.0, 1e4, math.pi * 1e6])
+def test_poisson_tails_against_mpmath(mean, eps):
+    # P(X > K) is the regularized lower gamma P(K + 1, mean), P(X < K) the upper Q(K, mean)
+    above = lambda k: mpmath.gammainc(k + 1, 0, mean, regularized=True)
+    below = lambda k: mpmath.gammainc(k, mean, mpmath.inf, regularized=True) if k > 0 else 0
+    (hi, upper), (lo, lower) = stats.poisson_tail(mean, eps), stats.poisson_tail(mean, eps, -1)
+    with mpmath.workdps(30):
+        assert above(hi) < eps <= above(hi - 1) and below(lo) < eps <= below(lo + 1)
+        assert upper == pytest.approx(float(above(hi)), rel=1e-10)
+        assert lower == pytest.approx(float(below(lo)), rel=1e-10, abs=1e-300)
+    assert stats.poisson_tail_cutoff(mean, eps) == hi
+
+
+@pytest.mark.parametrize("mean", [745.0, 1000.5, 3e4, math.pi * 1e6, 1e8])
+def test_poisson_pmf_keeps_its_precision_at_large_means(mean):
+    # the direct log form loses up to 7e-9 relative at mean pi * 1e6
+    sd = math.sqrt(mean)
+    for k in {999, 1000, 1001, int(mean), int(mean - 3 * sd), int(mean + 5 * sd)}:
+        with mpmath.workdps(40):
+            exact = float(mpmath.exp(-mean + k * mpmath.log(mean) - mpmath.loggamma(k + 1)))
+        assert stats.poisson_pmf(mean, k) == pytest.approx(exact, rel=1e-11, abs=1e-300)
+
+
+def test_poisson_tail_refusals():
+    with pytest.raises(DomainError, match=r"0 < eps <= 1/4"):
+        stats.poisson_tail(3.0, 0.5)
+    with pytest.raises(CapacityError, match=r"^a Poisson tail at mean 2e\+09 is over the cap"):
+        stats.poisson_tail_cutoff(2e9)
+    assert stats.poisson_tail(0.0, 1e-12, -1) == stats.poisson_tail(0.0, 1e-12) == (0, 0.0)
+
+
 @pytest.mark.parametrize("replicates, error, message", [
     (0, DomainError, r"^a campaign needs R >= 1, got R = 0$"),
     (10**20, CapacityError, r"^a campaign needs R <= 100000000, got R = 10{20}$"),
 ])
 def test_replicate_count_is_checked_before_any_stream(monkeypatch, replicates, error, message):
     made = []
-    monkeypatch.setattr(stats, "make_stream", lambda *a: made.append(a))
+    monkeypatch.setattr(stats, "_seed_words", lambda *a: made.append(a))
     with pytest.raises(error, match=message):
         stats.run_replicates("degree", {"dist": "uniform:0,1", "theta": 1.0, "n": 5},
                              replicates, 0)
@@ -485,7 +562,7 @@ def test_squared_deviations_beyond_the_floats_are_an_infinite_variance(monkeypat
 def test_clt_scale_beyond_the_floats_names_cr_before_any_stream(monkeypatch, lam, centering):
     # lam * c_d * Cr underflows to 0 or overflows to inf
     made = []
-    monkeypatch.setattr(stats, "make_stream", lambda *a: made.append(a))
+    monkeypatch.setattr(stats, "_seed_words", lambda *a: made.append(a))
     params = dict(_SPACE, dist="uniform:0,1", r=3.0, lam=lam, Cr=centering)
     with pytest.raises(NumericError, match=re.escape(f"at Cr = {centering!r} is not a positive")):
         stats.run_replicates("clt", params, 7, 0)
