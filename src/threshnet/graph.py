@@ -314,6 +314,9 @@ def _local_triangle_experiment(params: dict, streams) -> list:
 
     def density(stream):  # a local, so no draw outlives its replicate
         w = dist.sample(stream, n + 1)
-        return count_local_triangles(GraphSample._in_place(w[1:], theta), w[0]) / math.comb(n, 2)
+        x = float(w[0])
+        if x + x <= theta:  # a light tag: its neighbours are heavies, a clique, so no sort
+            return math.comb(_count_adjacent(w[1:], x, theta), 2) / math.comb(n, 2)
+        return count_local_triangles(GraphSample._in_place(w[1:], theta), x) / math.comb(n, 2)
 
     return [density(stream) for stream in streams]

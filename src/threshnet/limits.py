@@ -6,19 +6,16 @@ triangle probabilities, the conditional triangle mean and its variance (the
 CLT variance driver), and the edge-conditioned weight correlation that
 witnesses asymptotic dependence.
 
-Every oracle is built from two primitives of :mod:`threshnet.dist`:
-:func:`~threshnet.dist.expectation` for the outer expectations and
-:func:`~threshnet.dist.expect_rows`, the partial expectation
-E[g(X); lo < X <= hi], for the inner ones of the triangle and correlation
-oracles.  Neither oracle tells atom laws from continuous ones: both
-primitives sum atoms exactly and integrate continuous laws in quantile
-space, so bounded and heavy-tailed supports share one code path.
-Integrands are elementwise, so an expectation evaluates a whole quadrature
-level at once, and the inner integrals of its nodes are the rows of one
-:func:`~threshnet.dist.expect_rows` call, which bounds its own batches
-(:func:`conditional_triangle_probability` takes any array of weights).
-Tails are survival functions ``sf`` throughout, never ``1 - cdf``.  The
-limiting degree CDF of a continuous law is closed form.
+The degree, edge and correlation oracles are certified passes of
+:func:`~threshnet.dist.expectation`, the correlation's inner integrals rows
+of :func:`~threshnet.dist.expect_rows`, the partial expectation
+E[g(X); lo < X <= hi].  The triangle oracles take the light/heavy identity
+to the limit: heavy weights (y + y > theta) form a clique and light ones an
+independent set, so h1, F3 and zeta1 are light rows
+E[sf(theta - Y)**p; lo < Y <= theta/2], closed form under a uniform law,
+plus one heavy row for zeta1.  Both primitives sum atoms exactly and
+integrate continuous laws in quantile space.  Tails are survival functions
+``sf`` throughout, never ``1 - cdf``.
 """
 
 from __future__ import annotations
@@ -96,22 +93,16 @@ def conditional_triangle_probability(cfg: LimitConfig, x):
 
     This is the conditional mean h1(x) of the triangle kernel given one
     weight; ``x`` may be a float or an array, and the result has its shape.
-    Given the first fresh weight Y, the second must exceed theta - Y where
-    theta - x < Y <= x, and theta - x where Y > max(x, theta - x), so
-
-        h1(x) = E[sf(theta - Y); theta - x < Y <= max(x, theta - x)]
-                + sf(theta - x) * sf(max(x, theta - x)),
-
-    one :func:`threshnet.dist.expect_rows` batch over all ``x``, cut at the
-    kinks of ``sf(theta - Y)``.  On x <= theta/2 the range is empty and the
-    value is the exact square of a tail probability.
+    A light x has only heavy neighbours, which are adjacent, so
+    h1(x) = sf(theta - x)**2.  A heavy x is adjacent to every heavy weight,
+    and its triangle holds at most one light weight, which must exceed
+    theta - x: h1(x) = s**2 + 2 E[sf(theta - Y); theta - x < Y <= theta/2].
     """
-    dist, theta = cfg.dist, cfg.theta
+    half, s = _light_cut(cfg)
     xs = np.asarray(x, dtype=float)
-    low, high = theta - xs, np.maximum(xs, theta - xs)
-    inner = expect_rows(dist, lambda y: dist.sf(theta - y), low, high,
-                        points=_tail_kinks(dist, theta))
-    return inner + dist.sf(low) * dist.sf(high)
+    h = np.where(xs <= half, cfg.dist.sf(cfg.theta - xs) ** 2,
+                 s * s + 2.0 * _light_row(cfg, 1, cfg.theta - xs))
+    return float(h) if h.ndim == 0 else h
 
 
 def _tail_kinks(dist: WeightDistribution, theta: float) -> list:
@@ -121,26 +112,54 @@ def _tail_kinks(dist: WeightDistribution, theta: float) -> list:
     return [theta - hi_s, theta - lo_s]
 
 
+def _light_cut(cfg: LimitConfig) -> tuple[float, float]:
+    """The largest light float y, y + y <= theta (theta/2 unless that rounds
+    up), and the heavy mass s = sf(y)."""
+    half = cfg.theta / 2.0
+    half = math.nextafter(half, -math.inf) if half + half > cfg.theta else half
+    return half, cfg.dist.sf(half)
+
+
+def _light_row(cfg: LimitConfig, p: int, lo=-math.inf):
+    """E[sf(theta - Y)**p; lo < Y <= theta/2], one row per ``lo``.  No kink of
+    sf(theta - Y) cuts a row: theta - inf lies at or above theta/2 wherever a
+    light weight exists, and theta - sup is -inf for every continuous law but
+    uniform(a, b), where sf(theta - Y) rises at the density and the row is
+    (s**(p+1) - sf(theta - max(lo, a))**(p+1)) / (p+1)."""
+    dist, theta = cfg.dist, cfg.theta
+    half, s = _light_cut(cfg)
+    if dist.kind == "uniform":
+        low = dist.sf(theta - np.maximum(lo, dist.params[0]))
+        return (s ** (p + 1) - low ** (p + 1)) / (p + 1)
+    return expect_rows(dist, lambda y: dist.sf(theta - y) ** p, lo, half)
+
+
 def triangle_probability(cfg: LimitConfig) -> float:
-    """P(three independent weights form a triangle)."""
-    return expectation(
-        cfg.dist,
-        lambda x: conditional_triangle_probability(cfg, x),
-    )
+    """P(three independent weights form a triangle): three heavies, or one
+    light weight and two fresh neighbours of it, F3 = s**3 + 3 E[h1(Y); Y light]."""
+    return float(_light_cut(cfg)[1] ** 3 + 3.0 * _light_row(cfg, 2))
 
 
 def triangle_kernel_variance(cfg: LimitConfig, f3: float) -> float:
     """Variance of the conditional triangle probability of a random weight,
     given its mean ``f3 = triangle_probability(cfg)``.
 
-    This is the component driving the triangle-density CLT; clamped at zero
-    against quadrature noise (it vanishes for degenerate laws).
+    This is the component driving the triangle-density CLT: the light row of
+    h1**2 plus E[h1(X)**2; X heavy].  Under uniform(a, b) a heavy weight of
+    tail level w has h1 = 2 s**2 - max(w, c)**2, c = sf(theta - a).  Clamped
+    at zero against rounding (it vanishes for degenerate laws).
     """
-    second = expectation(
-        cfg.dist,
-        lambda x: conditional_triangle_probability(cfg, x) ** 2,
-    )
-    return max(0.0, second - f3**2)
+    dist, theta = cfg.dist, cfg.theta
+    half, s = _light_cut(cfg)
+    if dist.kind == "uniform":  # c (2 s2 - c**2)**2 plus (2 s2 - w**2)**2 integrated on [c, s]
+        c, s2 = dist.sf(theta - dist.params[0]), s * s
+        heavy = (c * (2.0 * s2 - c * c) ** 2 + 4.0 * s2 * s2 * (s - c)
+                 - 4.0 * s2 * (s**3 - c**3) / 3.0 + (s**5 - c**5) / 5.0)
+    else:  # one row up to the kink theta - inf, beyond which every light weight is a neighbour
+        top, peak = max(half, theta - dist.support()[0]), (s * s + 2.0 * _light_row(cfg, 1)) ** 2
+        heavy = dist.sf(top) * peak + (s * peak and expect_rows(  # the row is below s * peak
+            dist, lambda x: conditional_triangle_probability(cfg, x) ** 2, half, top))
+    return max(0.0, float(_light_row(cfg, 4) + heavy - f3**2))
 
 
 def edge_conditioned_correlation(cfg: LimitConfig) -> tuple[float, float]:

@@ -41,7 +41,7 @@ import numpy as np
 
 from .dist import WeightDistribution, block_rows, expect_rows, expectation, parse_dist
 from .errors import COUNT_CAP, CapacityError, DomainError, NumericError, RegimeError
-from .stats import register_experiment
+from .stats import _words_seed_sequence, register_experiment
 
 # Streams per batch of the mixture sampler.  A block holds its streams' generators,
 # about 1 KB each (1e5 held at once take 96 MB); expect_rows bounds its own rows.
@@ -210,7 +210,8 @@ def sample_origin_degree_direct(
     origin_weight = float(x0) if x0 is not None else dist.sample(stream)
     count = int(stream.poisson(expected_points))
     state = stream.bit_generator.state
-    weights = np.random.Generator(type(stream.bit_generator)())  # a cursor past the cutoffs
+    # a cursor past the cutoffs, from throwaway seed words rather than OS entropy
+    weights = np.random.Generator(np.random.PCG64(_words_seed_sequence()(np.zeros(4, np.uint64))))
     weights.bit_generator.state = state
     weights.bit_generator.advance(count)
     # no weight sum exceeds reach, which is inf for an unbounded law

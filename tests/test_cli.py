@@ -11,6 +11,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,34 @@ def test_triangles_report(tmp_path):
     assert set(["triangles", "triangle_density", "limit_triangle_probability"]) <= set(report)
     assert report["limit_triangle_probability"] == pytest.approx(0.25, abs=1e-8)
     assert abs(report["triangle_density"] - 0.25) < 0.05
+
+
+def test_triangles_limit_far_in_the_tail(tmp_path):
+    # exp:1 at theta = 40: F3 = 4 e**-60 - 3 e**-80, where nested quadrature
+    # raised and the command exited 2
+    out = tmp_path / "t.json"
+    assert run(["triangles", "--dist", "exp:1", "--theta", "40", "--n", "1000",
+                "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["limit_triangle_probability"] == pytest.approx(
+        4 * math.exp(-60) - 3 * math.exp(-80), rel=1e-12, abs=0)
+
+
+def test_limits_summary_uniform_thin_corner(tmp_path):
+    # theta = 1.9999: the heavy weights are a sliver of tail level s = 1 - theta/2,
+    # F3 = 2 s**3 and zeta1 = 46 s**5/15 - 4 s**6, where nested quadrature gave 0.0
+    out = tmp_path / "s.json"
+    assert run(["limits", "--table", "summary", "--dist", "uniform:0,1",
+                "--theta", "1.9999", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    s = 1 - Fraction(1.9999) / 2  # exact for the float theta
+    assert report["triangle_probability"] == pytest.approx(float(2 * s**3), rel=1e-12, abs=0)
+    assert report["triangle_kernel_variance"] == pytest.approx(
+        float(46 * s**5 / 15 - 4 * s**6), rel=1e-12, abs=0)
+    # the edge probability stays on expectation, whose passes miss the corner
+    # (the thin-corner xfail of test_limits), so the correlation stays null
+    assert report["edge_probability"] == 0.0
+    assert report["limit_corr_given_edge"] is None
 
 
 def test_limits_degree_pmf_table(tmp_path):

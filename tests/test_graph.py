@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from threshnet import dist, graph
 from threshnet.errors import CapacityError, DomainError
 from threshnet.stats import make_stream
-from law_ids import law_id
+from law_ids import law_call_id, law_id
+from test_dist import SAMPLED_LAWS
 
 
 def _adjacency(w, theta):
@@ -238,6 +239,21 @@ def test_local_experiment_tags_the_first_draw(spec):
     want = [_oracle_local_triangles(law.sample(make_stream(s), n + 1), theta, 0)
             / math.comb(n, 2) for s in range(6)]
     assert got == want
+
+
+@pytest.mark.parametrize("law", SAMPLED_LAWS, ids=law_call_id)
+def test_local_experiment_light_tags_skip_the_sort(monkeypatch, law):
+    # a light tag is counted on the unsorted pool, a heavy one on the sorted
+    # graph; both give the sorted graph's count bit for bit
+    n, theta = 300, 2 * float(law._ppf(0.5))
+    monkeypatch.setattr(graph, "parse_dist", lambda spec: law)
+    got = graph._local_triangle_experiment(
+        {"dist": "", "n": n, "theta": theta}, [make_stream(7, i) for i in range(40)])
+    draws = [law.sample(make_stream(7, i), n + 1) for i in range(40)]
+    want = [graph.count_local_triangles(graph.GraphSample.from_weights(w[1:], theta), w[0])
+            / math.comb(n, 2) for w in draws]
+    assert got == want
+    assert any(w[0] + w[0] <= theta for w in draws)
 
 
 def _oracle_parity_instances():

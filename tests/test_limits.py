@@ -2,6 +2,7 @@
 noted) and cross-checks with independent symbolic integration."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -230,38 +231,195 @@ def _exp_triangle_oracles_exact(rate, theta):
     """F3 and zeta1 of exp(rate) at theta, from the conditional triangle
     probability h1: exp(-2 rate (theta - x)) up to theta/2, exp(-rate theta)
     (1 + rate (2x - theta)) up to theta, exp(-rate theta) (1 + rate theta)
-    beyond."""
+    beyond, each piece of E[h1**2] integrated in closed form."""
     with mpmath.workdps(40):
         r, t = mpmath.mpf(rate), mpmath.mpf(theta)
-
-        def h1(x):
-            if x <= t / 2:
-                return mpmath.exp(-2 * r * (t - x))
-            return mpmath.exp(-r * t) * (1 + r * (2 * x - t))
-
-        beyond = mpmath.exp(-r * t)  # P(X > theta), where h1 is h1(theta)
         f3 = 4 * mpmath.exp(-3 * r * t / 2) - 3 * mpmath.exp(-2 * r * t)
-        second = mpmath.quad(lambda x: r * mpmath.exp(-r * x) * h1(x) ** 2, [0, t / 2, t])
-        second += beyond * h1(t) ** 2
-        return float(f3), float(second - f3**2)
+        light = mpmath.exp(-4 * r * t) * mpmath.expm1(3 * r * t / 2) / 3
+
+        # u = rate (2x - theta): the integral of (1 + u)**2 exp(-u/2) du / 2 over [0, rate theta]
+        def antiderivative(u):
+            return -mpmath.exp(-u / 2) * ((1 + u) ** 2 + 4 * (1 + u) + 8)
+
+        heavy = mpmath.exp(-5 * r * t / 2) * (antiderivative(r * t) - antiderivative(0))
+        beyond = mpmath.exp(-3 * r * t) * (1 + r * t) ** 2
+        return float(f3), float(light + heavy + beyond - f3**2)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "expectation certifies 0.023129470726542346, off by 4.4e-8 relative, at "
-    "the law of the degree_pmf xfail; see the FOUND item on the triangle "
-    "oracles in CHANGES.md"))
+def _exp_h1_exact(rate, theta, x):
+    # the pieces of h1 in the docstring above
+    with mpmath.workdps(40):
+        r, t, x = mpmath.mpf(rate), mpmath.mpf(theta), mpmath.mpf(x)
+        if x <= t / 2:
+            return float(mpmath.exp(-2 * r * (t - x)))
+        return float(mpmath.exp(-r * t) * (1 + r * (2 * min(x, t) - t)))
+
+
 def test_triangle_probability_kink_beside_a_panel_edge():
     f3, _ = _exp_triangle_oracles_exact(*_KINK_CFG.dist.params, _KINK_CFG.theta)
     assert limits.triangle_probability(_KINK_CFG) == pytest.approx(f3, rel=1e-12, abs=0)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "expectation certifies 0.001518644234063709, off by 1.8e-7 relative, at "
-    "the law of the degree_pmf xfail; see the FOUND item on the triangle "
-    "oracles in CHANGES.md"))
 def test_triangle_kernel_variance_kink_beside_a_panel_edge():
     _, zeta1 = _exp_triangle_oracles_exact(*_KINK_CFG.dist.params, _KINK_CFG.theta)
     assert _kernel_variance(_KINK_CFG) == pytest.approx(zeta1, rel=1e-12, abs=0)
+
+
+def _assert_triangle_oracles(cfg, xs, h1, f3, zeta1):
+    # h1 on the weights xs, F3 and zeta1 against exact values, to 1e-12
+    # relative, or equal to an exact 0
+    values = limits.conditional_triangle_probability(cfg, np.array(xs, dtype=float))
+    assert values.tolist() == pytest.approx(h1, rel=1e-12, abs=0)
+    assert limits.triangle_probability(cfg) == pytest.approx(f3, rel=1e-12, abs=0)
+    assert _kernel_variance(cfg) == pytest.approx(zeta1, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("rate, theta", [(1.0, 1.0), (1.0, 1.4), (1.0, 40.0),
+                                         tuple(_KINK_CFG.dist.params) + (_KINK_CFG.theta,),
+                                         (5.0, 4.0), (5.0, 10.0), (8.0, 6.0)])
+def test_triangle_oracles_exponential_closed_forms(rate, theta):
+    # the light row never holds the kink at theta - inf = theta; rows that
+    # did raised at theta = 40 and at x = 6.7 under exp:8, theta = 6
+    cfg = limits.LimitConfig(dist.exponential(rate), theta)
+    xs = [-0.5, 0.2 * theta, 0.5 * theta, 0.7 * theta, theta, 6.7, 3 * theta]
+    _assert_triangle_oracles(cfg, xs, [_exp_h1_exact(rate, theta, x) for x in xs],
+                             *_exp_triangle_oracles_exact(rate, theta))
+
+
+def _pareto_triangle_oracles_exact(alpha, theta):
+    """h1, F3 and zeta1 of pareto(1, alpha) at theta by mpmath, from the nested
+    form: h1(x) = E[sf(theta - Y); theta - x < Y <= max(x, theta - x)]
+    + sf(theta - x) sf(max(x, theta - x)), integrated against the law."""
+    al, t = mpmath.mpf(alpha), mpmath.mpf(theta)
+
+    def sf(u):
+        return 1 if u <= 1 else u**-al
+
+    def density(u):
+        return al * u ** (-al - 1)
+
+    def h1(x):
+        x = mpmath.mpf(x)
+        low, high = max(t - x, 1), max(x, t - x)
+        if high <= low:
+            return sf(t - x) * sf(high)
+        cuts = sorted({low, min(max(t - 1, low), high), high})
+        return (mpmath.quad(lambda y: sf(t - y) * density(y), cuts)
+                + sf(t - x) * sf(high))
+
+    cuts = [1, t / 2, t - 1, mpmath.inf]
+    f3 = mpmath.quad(lambda x: h1(x) * density(x), cuts)
+    second = mpmath.quad(lambda x: h1(x) ** 2 * density(x), cuts)
+    return h1, float(f3), float(second - f3**2)
+
+
+@pytest.mark.parametrize("alpha", [3.0, 1.5])
+def test_triangle_oracles_pareto_against_mpmath(alpha):
+    cfg = limits.LimitConfig(dist.pareto(1.0, alpha), 2.5)
+    xs = [0.5, 1.1, 1.25, 1.3, 1.6, 2.0, 5.0]
+    with mpmath.workdps(20):
+        h1, f3, zeta1 = _pareto_triangle_oracles_exact(alpha, 2.5)
+        _assert_triangle_oracles(cfg, xs, [float(h1(x)) for x in xs], f3, zeta1)
+
+
+def _atom_triangle_oracles_exact(law, theta, xs):
+    """h1 on xs, F3 and zeta1 as exact sums over the atoms of every triple,
+    the atoms and theta chosen so that no pair sum rounds across theta."""
+    atoms = [(x, Fraction(p)) for x, p in law.atoms()]
+
+    def h1(x):
+        return sum((p * q for y, p in atoms for z, q in atoms
+                    if x + y > theta and x + z > theta and y + z > theta), Fraction(0))
+
+    f3 = sum((p * h1(x) for x, p in atoms), Fraction(0))
+    zeta1 = sum((p * h1(x) ** 2 for x, p in atoms), Fraction(0)) - f3**2
+    return [float(h1(x)) for x in xs], float(f3), float(zeta1)
+
+
+_TINY = 5e-324  # the least subnormal; multiples of it add exactly
+
+
+@pytest.mark.parametrize("law, theta", [
+    (dist.two_point(0.2, 0.5, 0.9), 1.0),
+    (dist.two_point(0.2, 0.5, 0.9), 1.2),
+    # an atom at theta/2 and a pair of atoms summing to theta, neither adjacent
+    (dist.finite_discrete([(0.25, 0.25), (0.5, 0.5), (0.75, 0.25)]), 1.0),
+    (dist.finite_discrete([(_TINY, 0.25), (2 * _TINY, 0.5), (3 * _TINY, 0.25)]), 4 * _TINY),
+    # theta/2 rounds up onto the heavy atom 2 * _TINY
+    (dist.finite_discrete([(_TINY, 0.5), (2 * _TINY, 0.5)]), 3 * _TINY),
+], ids=["twopoint-1", "twopoint-1.2", "three-atoms", "three-subnormal", "odd-subnormal"])
+def test_triangle_oracles_atom_laws_against_brute_force(law, theta):
+    xs = sorted({x for x, _ in law.atoms()} | {0.0, theta / 2, theta, 2 * theta})
+    cfg = limits.LimitConfig(law, theta)
+    _assert_triangle_oracles(cfg, xs, *_atom_triangle_oracles_exact(law, theta, xs))
+
+
+def _uniform_triangle_oracles_exact(a, b, theta, xs):
+    """h1 on xs, F3 and zeta1 of uniform(a, b) at theta in sympy rationals.
+    h1(x) is the area of {y, z > theta - x, y + z > theta} in [a, b]**2 over
+    (b - a)**2, exact by the trapezoid rule between the kinks of its linear
+    pieces; h1 is quadratic between the weights a, b, theta/2, theta - a and
+    theta - b, so Boole's rule integrates h1 and h1**2 exactly there."""
+    a, b, t = (sympy.Rational(v) for v in (a, b, theta))
+
+    def h1(x):
+        low = max(a, t - x)
+        if low >= b:
+            return sympy.Integer(0)
+        ys = sorted({low, b} | {y for y in (t - a, t - low, t - b) if low < y < b})
+
+        def width(y):  # of the z with z > theta - x and y + z > theta, in [a, b]
+            return max(0, b - max(a, t - x, t - y))
+
+        area = sum((y1 - y0) * (width(y0) + width(y1)) / 2 for y0, y1 in zip(ys, ys[1:]))
+        return area / (b - a) ** 2
+
+    cuts = sorted({a, b} | {x for x in (t / 2, t - a, t - b) if a < x < b})
+    first = second = sympy.Integer(0)
+    for x0, x1 in zip(cuts, cuts[1:]):
+        step = (x1 - x0) / 4
+        values = [h1(x0 + j * step) for j in range(5)]
+        scale = 2 * step / 45 / (b - a)  # Boole's weights against the density 1/(b - a)
+        first += scale * sum(w * v for w, v in zip((7, 32, 12, 32, 7), values))
+        second += scale * sum(w * v * v for w, v in zip((7, 32, 12, 32, 7), values))
+    return [float(h1(sympy.Rational(x))) for x in xs], float(first), float(second - first**2)
+
+
+@pytest.mark.parametrize("a, b, theta", [
+    (0.5, 1.0, 0.75),   # theta < 2a: every pair adjacent
+    (0.0, 1.0, 1.0),    # the generic case
+    (0.0, 1.0, 1.25),
+    (-1.0, 1.0, 0.5),
+    (0.25, 1.0, 1.0),   # theta - b < a: a light weight above a is adjacent to b
+    (0.5, 1.5, 1.5),
+    (0.0, 1.0, 2.0),    # theta >= 2b: no edge
+    (0.0, 1.0, 2.5),
+])
+def test_triangle_oracles_uniform_against_sympy(a, b, theta):
+    xs = [a - 0.5, a, (a + b) / 2, theta / 2, 0.9 * b, b, b + 1]
+    cfg = limits.LimitConfig(dist.uniform(a, b), theta)
+    _assert_triangle_oracles(cfg, xs, *_uniform_triangle_oracles_exact(a, b, theta, xs))
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.0, 1.0), (0.3, 1.0), (5.0, 7.0)])
+def test_triangle_oracles_uniform_thin_corner(a, b):
+    # 2 - theta/sup = 2e-k: the heavy weights are a sliver of tail level s,
+    # F3 = 2 s**3 and zeta1 = 46 s**5/15 - 4 s**6; nested quadrature lost F3 from k = 4
+    law = dist.uniform(a, b)
+    for k in range(1, 17):
+        cfg = limits.LimitConfig(law, b * (2 - 2 * 10.0**-k))
+        s = law.sf(cfg.theta / 2)
+        assert limits.triangle_probability(cfg) == pytest.approx(2 * s**3, rel=1e-12, abs=0)
+        assert _kernel_variance(cfg) == pytest.approx(
+            46 * s**5 / 15 - 4 * s**6, rel=1e-12, abs=0)
+
+
+def test_triangle_oracles_pareto_beyond_the_float_quantiles():
+    # the heavy weights lie at subnormal tail levels, where the pareto quantile
+    # overflows a float; F3 and zeta1 round to 0
+    cfg = limits.LimitConfig(dist.pareto(2.0, 1.05), 1e300)
+    assert limits.triangle_probability(cfg) == 0.0
+    assert _kernel_variance(cfg) == 0.0
 
 
 def test_triangle_kernel_variance_degenerate():

@@ -317,6 +317,21 @@ def test_direct_sampler_skips_the_blocks_out_of_reach(monkeypatch, law, skips, b
     assert connected > 0 and (0 < weights < points / 2 if skips else weights == points)
 
 
+def test_direct_campaign_draws_no_os_entropy(monkeypatch):
+    # the weight cursor is seeded from throwaway words, never from the OS, and
+    # its campaign keeps the out-of-place draws
+    params = {"dist": "uniform:0,1", "theta": 1.0, "d": 2, "beta": 2.0,
+              "lam": 1.0, "r": 20.0, "mode": "direct"}
+    cfg = spatial.SpatialConfig(d=2, beta=2.0, theta=1.0, lam=1.0, r=20.0)
+    expected = [_direct_out_of_place(cfg, UNI, None, make_stream(5, i)) for i in range(20)]
+
+    def refuse(*_):
+        raise AssertionError("OS entropy drawn")
+
+    monkeypatch.setattr(np.random.bit_generator, "randbits", refuse)
+    assert stats.run_replicates("spatial", params, 20, 5).samples.tolist() == expected
+
+
 def test_direct_sampler_holds_two_blocks():
     # about 1.1e6 points: the cutoffs and the weight sums, one block of each
     cfg = spatial.SpatialConfig(d=2, beta=2.0, theta=1.0, lam=1.0, r=592.0)
