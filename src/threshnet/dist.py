@@ -103,7 +103,8 @@ class WeightDistribution:
             out = (np.clip(xv, a, b) - a) / (b - a)
         elif self.kind == "exponential":
             (rate,) = self.params
-            out = np.where(xv < 0.0, 0.0, -np.expm1(-rate * np.maximum(xv, 0.0)))
+            with np.errstate(over="ignore"):  # rate x beyond the floats is inf: cdf 1
+                out = np.where(xv < 0.0, 0.0, -np.expm1(-rate * np.maximum(xv, 0.0)))
         elif self.kind == "pareto":
             c, alpha = self.params
             xm = c ** (1.0 / alpha)
@@ -123,7 +124,8 @@ class WeightDistribution:
             out = (b - np.clip(xv, a, b)) / (b - a)
         elif self.kind == "exponential":
             (rate,) = self.params
-            out = np.exp(-rate * np.maximum(xv, 0.0))
+            with np.errstate(over="ignore"):  # rate x beyond the floats is inf: sf 0
+                out = np.exp(-rate * np.maximum(xv, 0.0))
         elif self.kind == "pareto":
             c, alpha = self.params
             xm = c ** (1.0 / alpha)

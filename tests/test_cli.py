@@ -53,7 +53,8 @@ def test_triangles_limit_far_in_the_tail(tmp_path):
 
 def test_limits_summary_uniform_thin_corner(tmp_path):
     # theta = 1.9999: the heavy weights are a sliver of tail level s = 1 - theta/2,
-    # F3 = 2 s**3 and zeta1 = 46 s**5/15 - 4 s**6, where nested quadrature gave 0.0
+    # alpha = 2 s**2, F3 = 2 s**3, zeta1 = 46 s**5/15 - 4 s**6 and the correlation
+    # -0.5, where quadrature on the tail level gave 0.0 and a null correlation
     out = tmp_path / "s.json"
     assert run(["limits", "--table", "summary", "--dist", "uniform:0,1",
                 "--theta", "1.9999", "--out", str(out)]) == 0
@@ -62,10 +63,39 @@ def test_limits_summary_uniform_thin_corner(tmp_path):
     assert report["triangle_probability"] == pytest.approx(float(2 * s**3), rel=1e-12, abs=0)
     assert report["triangle_kernel_variance"] == pytest.approx(
         float(46 * s**5 / 15 - 4 * s**6), rel=1e-12, abs=0)
-    # the edge probability stays on expectation, whose passes miss the corner
-    # (the thin-corner xfail of test_limits), so the correlation stays null
-    assert report["edge_probability"] == 0.0
-    assert report["limit_corr_given_edge"] is None
+    assert report["edge_probability"] == pytest.approx(float(2 * s**2), rel=1e-12, abs=0)
+    assert report["limit_corr_given_edge"] == pytest.approx(-0.5, rel=1e-12, abs=0)
+
+
+def test_limits_summary_far_exponential_tail(tmp_path):
+    # exp:8 at theta = 6, where nested quadrature raised and the command exited
+    # 2: with E = e**-48, alpha = 49 E, alpha m1 = 2 E - E**2, alpha m2 =
+    # (3 E - E**3)/2 and alpha m11 = E**2 (1 + 96 + 48**2/2)
+    out = tmp_path / "s.json"
+    assert run(["limits", "--table", "summary", "--dist", "exp:8", "--theta", "6",
+                "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    e = math.exp(-48)
+    alpha = 49 * e
+    m1, m2 = (2 * e - e * e) / alpha, (3 * e - e**3) / 2 / alpha
+    cov = e * e * (1 + 96 + 48**2 / 2) / alpha - m1 * m1
+    assert report["edge_probability"] == pytest.approx(alpha, rel=1e-12, abs=0)
+    assert report["limit_cov_given_edge"] == pytest.approx(cov, rel=1e-12, abs=0)
+    assert report["limit_corr_given_edge"] == pytest.approx(cov / (m2 - m1 * m1), rel=1e-12, abs=0)
+
+
+def test_pair_limit_correlation_where_a_pair_sum_rounds_to_theta(tmp_path):
+    # 0.1 + 0.9 == 1.0 is no edge, so phi = 0, 3/10, 7/10 at 0.1, 0.5, 0.9:
+    # alpha = 33/100, cov = -64/3025 and corr = -4/7, as the sample says; the
+    # edge rule sf(theta - x) joined 0.1 to 0.9 and reported corr -2.54
+    out = tmp_path / "p.json"
+    assert run(["pair", "--dist", "discrete:0.1:0.3,0.5:0.4,0.9:0.3", "--theta", "1",
+                "--n", "2000", "--R", "4000", "--seed", "3", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["limit_cov_given_edge"] == pytest.approx(-64 / 3025, rel=1e-12, abs=0)
+    assert report["limit_corr_given_edge"] == pytest.approx(-4 / 7, rel=1e-12, abs=0)
+    assert report["corr_given_edge"] == pytest.approx(-4 / 7, abs=0.05)
+    assert report["edge_fraction"] == pytest.approx(0.33, abs=0.02)
 
 
 def test_limits_degree_pmf_table(tmp_path):

@@ -72,6 +72,16 @@ def test_uniform_tails_clip_before_the_difference():
         assert law.cdf(x).tobytes() == ((x - a) / (b - a)).tobytes()
 
 
+def test_exponential_tails_beyond_the_floats():
+    # rate x overflows to inf: the tails are 1 and 0, with no overflow warning
+    law = dist.exponential(5.0)
+    xs = [7.190772539449264e307, 1.7e308, math.inf]
+    assert law.cdf(np.array(xs)).tolist() == [1.0, 1.0, 1.0]
+    assert law.sf(np.array(xs)).tolist() == [0.0, 0.0, 0.0]
+    assert [law.cdf(x) for x in xs] == [1.0, 1.0, 1.0]
+    assert [law.sf(x) for x in xs] == [0.0, 0.0, 0.0]
+
+
 def test_cdf_shape_on_grid():
     for d in ALL_KINDS:
         lo, hi = d.support()

@@ -103,10 +103,6 @@ def test_edge_probability_exponential_far_tail(rate, theta, rel):
     assert limits.edge_probability(cfg) == pytest.approx(float(exact), rel=rel, abs=0)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "neither pass of expectation puts a node where sf(theta - x) > 0, which "
-    "is x > 0.9999, so both agree on 0; see the FOUND item on "
-    "edge_probability in CHANGES.md"))
 def test_edge_probability_uniform_thin_corner():
     cfg = limits.LimitConfig(dist.uniform(0, 1), 1.9999)
     assert limits.edge_probability(cfg) == pytest.approx((2 - 1.9999) ** 2 / 2, rel=1e-9, abs=0)
@@ -322,18 +318,69 @@ def test_triangle_oracles_pareto_against_mpmath(alpha):
         _assert_triangle_oracles(cfg, xs, [float(h1(x)) for x in xs], f3, zeta1)
 
 
-def _atom_triangle_oracles_exact(law, theta, xs):
-    """h1 on xs, F3 and zeta1 as exact sums over the atoms of every triple,
-    the atoms and theta chosen so that no pair sum rounds across theta."""
+def _atom_oracles_exact(law, theta, xs, n=6):
+    """Every oracle of an atom law as an exact sum over the atoms, adjacency
+    taken from the float sum rule x + y > theta itself: h1 on xs, F3, zeta1
+    and E[h1**2], the edge probability alpha, the degree pmf among n + 1
+    vertices, the limit degree law's atoms, and the edge-conditioned
+    covariance, variance and m2 = E[phi(A)**2 | edge] (absent without edges)."""
     atoms = [(x, Fraction(p)) for x, p in law.atoms()]
+    phi = {x: sum((q for y, q in atoms if x + y > theta), Fraction(0)) for x, _ in atoms}
 
     def h1(x):
         return sum((p * q for y, p in atoms for z, q in atoms
                     if x + y > theta and x + z > theta and y + z > theta), Fraction(0))
 
     f3 = sum((p * h1(x) for x, p in atoms), Fraction(0))
-    zeta1 = sum((p * h1(x) ** 2 for x, p in atoms), Fraction(0)) - f3**2
-    return [float(h1(x)) for x in xs], float(f3), float(zeta1)
+    second = sum((p * h1(x) ** 2 for x, p in atoms), Fraction(0))
+    alpha = sum((p * phi[x] for x, p in atoms), Fraction(0))
+    exact = {"h1": [float(h1(x)) for x in xs], "f3": f3, "zeta1": second - f3**2,
+             "second": second, "alpha": alpha, "phi": [(phi[x], p) for x, p in atoms],
+             "pmf": [sum((p * math.comb(n, k) * phi[x] ** k * (1 - phi[x]) ** (n - k)
+                          for x, p in atoms), Fraction(0)) for k in range(n + 1)]}
+    if alpha:
+        m1, m2 = (sum((p * phi[x] ** j for x, p in atoms), Fraction(0)) / alpha for j in (2, 3))
+        m11 = sum((p * q * phi[x] * phi[y] for x, p in atoms for y, q in atoms
+                   if x + y > theta), Fraction(0)) / alpha
+        exact.update(cov=m11 - m1**2, var=m2 - m1**2, m2=m2)
+    return exact
+
+
+def _assert_atom_oracles(law, theta, cancel=0.0):
+    """Every oracle of an atom law against the brute force, to 1e-12
+    relative.  zeta1 and the covariance are differences of terms of the size
+    of E[h1**2] and m2; with ``cancel`` they may also miss by that share of
+    those terms, and the correlation by that share over the variance."""
+    cfg = limits.LimitConfig(law, theta)
+    xs = sorted({x for x, _ in law.atoms()} | {0.0, theta / 2, theta, 2 * theta})
+    exact = _atom_oracles_exact(law, theta, xs)
+
+    def close(exact_value, size=0):
+        return pytest.approx(float(exact_value), rel=1e-12, abs=cancel * float(size))
+
+    values = limits.conditional_triangle_probability(cfg, np.array(xs, dtype=float))
+    assert values.tolist() == pytest.approx(exact["h1"], rel=1e-12, abs=0)
+    f3 = limits.triangle_probability(cfg)
+    assert f3 == close(exact["f3"])
+    assert limits.triangle_kernel_variance(cfg, f3) == close(exact["zeta1"], exact["second"])
+    assert limits.edge_probability(cfg) == close(exact["alpha"])
+    pmf = [limits.degree_pmf(cfg, len(exact["pmf"]) - 1, k) for k in range(len(exact["pmf"]))]
+    assert pmf == pytest.approx([float(v) for v in exact["pmf"]], rel=1e-12, abs=0)
+    # the limit degree CDF at 0 and between its jump levels phi(atom)
+    levels = sorted({0.0} | {float(v) for v, _ in exact["phi"]})
+    for t in [0.0] + [(lo + hi) / 2 for lo, hi in zip(levels, levels[1:])]:
+        mass = sum((p for v, p in exact["phi"] if v <= t), Fraction(0))
+        assert limits.limit_degree_cdf(cfg, t) == close(mass)
+    if not exact["alpha"]:
+        with pytest.raises(DegenerateConditioningError):
+            limits.edge_conditioned_correlation(cfg)
+        return
+    cov, corr = limits.edge_conditioned_correlation(cfg)
+    assert cov == close(exact["cov"], exact["m2"])
+    if exact["var"]:
+        assert corr == close(exact["cov"] / exact["var"], exact["m2"] / exact["var"])
+    else:
+        assert corr == 0.0
 
 
 _TINY = 5e-324  # the least subnormal; multiples of it add exactly
@@ -347,11 +394,32 @@ _TINY = 5e-324  # the least subnormal; multiples of it add exactly
     (dist.finite_discrete([(_TINY, 0.25), (2 * _TINY, 0.5), (3 * _TINY, 0.25)]), 4 * _TINY),
     # theta/2 rounds up onto the heavy atom 2 * _TINY
     (dist.finite_discrete([(_TINY, 0.5), (2 * _TINY, 0.5)]), 3 * _TINY),
-], ids=["twopoint-1", "twopoint-1.2", "three-atoms", "three-subnormal", "odd-subnormal"])
+    # 0.1 + 0.9 == 1.0 is no edge, but theta - 0.9 = 0.0999... lies below 0.1
+    (dist.parse_dist("discrete:0.1:0.3,0.5:0.4,0.9:0.3"), 1.0),
+    (dist.parse_dist("discrete:0.1:0.3,0.5:0.4,0.9:0.3"), 1.4),
+    (dist.finite_discrete([(0.1, 0.25), (0.5, 0.25), (0.9, 0.25), (0.95, 0.25)]), 1.0),
+    (dist.finite_discrete([(0.3, 7 / 28), (0.4, 2 / 28), (0.7, 7 / 28), (0.8, 7 / 28),
+                           (0.85, 4 / 28), (0.9, 1 / 28)]), 0.7),
+], ids=["twopoint-1", "twopoint-1.2", "three-atoms", "three-subnormal", "odd-subnormal",
+        "rounding-1", "rounding-1.4", "four-rounding", "six-rounding"])
 def test_triangle_oracles_atom_laws_against_brute_force(law, theta):
-    xs = sorted({x for x, _ in law.atoms()} | {0.0, theta / 2, theta, 2 * theta})
-    cfg = limits.LimitConfig(law, theta)
-    _assert_triangle_oracles(cfg, xs, *_atom_triangle_oracles_exact(law, theta, xs))
+    _assert_atom_oracles(law, theta)
+
+
+# Atom laws on a grid of step 0.05, where a pair sum can land on theta and
+# round across it, as no atom drawn from st.floats does.
+_GRID_ATOMS = st.lists(st.tuples(st.integers(-20, 40), st.integers(1, 9)), min_size=1,
+                       max_size=6, unique_by=lambda atom: atom[0]).map(
+    lambda atoms: dist.finite_discrete(
+        [(0.05 * i, w / sum(w for _, w in atoms)) for i, w in atoms]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_atom_oracles_on_a_decimal_grid_against_brute_force(data):
+    law = data.draw(_GRID_ATOMS)
+    sums = sorted({x + y for x, _ in law.atoms() for y, _ in law.atoms()})
+    _assert_atom_oracles(law, data.draw(st.sampled_from(sums)), cancel=1e-12)
 
 
 def _uniform_triangle_oracles_exact(a, b, theta, xs):
@@ -467,7 +535,102 @@ def test_edge_conditioned_correlation_exponential_closed_form():
     assert corr == pytest.approx(float(exact_corr), rel=1e-12, abs=0)
 
 
-# Parameters of each of the six weight-law constructors.
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (5.0, 7.0), (-1.0, 1.0)])
+def test_edge_oracles_uniform_thin_corner(a, b):
+    # 2b - theta = 1e-k (b - a): the heavy weights are a sliver of tail level s,
+    # alpha = 2 s**2, m1 = 4 s/3, m2 = 2 s**2 and m11 = 5 s**2/3, so cov = -s**2/9
+    # and corr = -0.5; tail-level quadrature lost alpha near theta = 2b
+    law = dist.uniform(a, b)
+    for k in range(1, 16):
+        cfg = limits.LimitConfig(law, 2 * b - 10.0**-k * (b - a))
+        s = law.sf(cfg.theta / 2)
+        assert limits.edge_probability(cfg) == pytest.approx(2 * s * s, rel=1e-12, abs=0)
+        cov, corr = limits.edge_conditioned_correlation(cfg)
+        assert cov == pytest.approx(-s * s / 9, rel=1e-12, abs=0)
+        assert corr == pytest.approx(-0.5, rel=1e-12, abs=0)
+
+
+def _exp_edge_oracles_exact(rate, theta):
+    """alpha, cov and corr of exp(rate) at theta, T = rate theta: phi(a) =
+    exp(-rate (theta - a)) below theta, so alpha = e**-T (1 + T), alpha m1 =
+    2 e**-T - e**-2T, alpha m2 = (3 e**-T - e**-3T)/2 and alpha m11 =
+    e**-2T (1 + 2T + T**2/2)."""
+    with mpmath.workdps(40):
+        t = mpmath.mpf(rate) * mpmath.mpf(theta)
+        e = mpmath.exp(-t)
+        alpha = e * (1 + t)
+        m1, m2 = (2 * e - e**2) / alpha, (3 * e - e**3) / 2 / alpha
+        cov = e**2 * (1 + 2 * t + t**2 / 2) / alpha - m1**2
+        return float(alpha), float(cov), float(cov / (m2 - m1**2))
+
+
+@pytest.mark.parametrize("rate, theta", [(1.0, 1.0), (1.0, 1.4), (5.0, 4.0), (8.0, 6.0),
+                                         (1.0, 40.0)])
+def test_edge_oracles_exponential_closed_forms(rate, theta):
+    # exp:8 at theta = 6 and exp:1 at theta = 40 raised in nested quadrature
+    cfg = limits.LimitConfig(dist.exponential(rate), theta)
+    alpha, cov, corr = _exp_edge_oracles_exact(rate, theta)
+    assert limits.edge_probability(cfg) == pytest.approx(alpha, rel=1e-12, abs=0)
+    assert limits.edge_conditioned_correlation(cfg) == pytest.approx((cov, corr), rel=1e-12, abs=0)
+
+
+def _pareto_edge_oracles_exact(alpha, theta):
+    """alpha, cov and corr of pareto(1, alpha) at theta by mpmath, m11 from
+    the nested form E[phi(A) E[phi(B); B > theta - A]] / alpha."""
+    al, t = mpmath.mpf(alpha), mpmath.mpf(theta)
+
+    def density(u):
+        return al * u ** (-al - 1)
+
+    def phi(a):
+        return 1 if t - a <= 1 else (t - a) ** -al
+
+    def mean(g, low=1):  # E[g(X); X > low]
+        return mpmath.quad(lambda u: g(u) * density(u),
+                           sorted({low, max(low, t - 1)}) + [mpmath.inf])
+
+    edge = mean(phi)
+    m1, m2 = (mean(lambda a, j=j: phi(a) ** j) / edge for j in (2, 3))
+    cov = mean(lambda a: phi(a) * mean(phi, max(1, t - a))) / edge - m1**2
+    return float(edge), float(cov), float(cov / (m2 - m1**2))
+
+
+@pytest.mark.parametrize("alpha", [3.0, 1.5])
+def test_edge_oracles_pareto_against_mpmath(alpha):
+    cfg = limits.LimitConfig(dist.pareto(1.0, alpha), 2.5)
+    with mpmath.workdps(20):
+        edge, cov, corr = _pareto_edge_oracles_exact(alpha, 2.5)
+    assert limits.edge_probability(cfg) == pytest.approx(edge, rel=1e-12, abs=0)
+    assert limits.edge_conditioned_correlation(cfg) == pytest.approx((cov, corr), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("alpha, theta", [(1.0, 1e300), (1.5, 1e100)])
+def test_edge_oracles_pareto_far_threshold(alpha, theta):
+    # an edge is a weight near theta and any other weight: alpha = 2 sf(theta)
+    # to leading order, and given an edge phi is about 1 at one end and about
+    # 0 at the other, so corr = -1; tail-level quadrature gave alpha = sf(theta)
+    cfg = limits.LimitConfig(dist.pareto(1.0, alpha), theta)
+    assert limits.edge_probability(cfg) == pytest.approx(
+        2 * cfg.dist.sf(theta), rel=1e-12, abs=0)
+    assert limits.edge_conditioned_correlation(cfg)[1] == pytest.approx(-1.0, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("law", [dist.uniform(0.0, 1.0), dist.exponential(1.0),
+                                 dist.pareto(1.0, 3.0), dist.two_point(0.2, 0.5, 0.9)],
+                         ids=law_id)
+def test_edge_oracles_need_no_expectation(law, monkeypatch):
+    # the edge probability and the correlation are light rows alone
+    cfg = limits.LimitConfig(law, 1.0)
+    expected = limits.edge_probability(cfg), limits.edge_conditioned_correlation(cfg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("expectation called")
+
+    monkeypatch.setattr(limits, "expectation", refuse)
+    assert (limits.edge_probability(cfg), limits.edge_conditioned_correlation(cfg)) == expected
+
+
+# Parameters of each of the six weight-law constructors, and the atom grid.
 _LAW_STRATEGIES = {
     "uniform": st.tuples(st.floats(-2, 2), st.floats(0.05, 3)).map(
         lambda t: dist.uniform(t[0], t[0] + t[1])),
@@ -481,6 +644,7 @@ _LAW_STRATEGIES = {
         lambda atoms: dist.finite_discrete(
             [(x, w / sum(w for _, w in atoms)) for x, w in atoms])),
     "point": st.floats(-2, 2).map(dist.point_mass),
+    "grid": _GRID_ATOMS,
 }
 _THETAS = st.floats(-1, 4)
 
